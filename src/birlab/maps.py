@@ -1,15 +1,33 @@
 """Homogeneous polynomial maps, FS differentials, and map families.
 
 Iteration is always pointwise (the map applied n times); compositions are
-never expanded symbolically, so degrees stay at d per step.  Differentials
-of the induced map on P^2 are computed analytically from the homogeneous
-Jacobian, expressed between Hermitian-orthonormal frames of the tangent
-spaces; all form densities are ratios against omega^k and therefore
-independent of the overall metric normalization.
+never expanded symbolically, so degrees stay at d per step.
+
+Differentials of the induced map on P^2 come from the homogeneous
+Jacobian J(z), compiled once per map into a coefficient matrix over the
+degree-(d-1) monomials.  A pullback chain takes one Hermitian-orthonormal
+frame X of the tangent space z^perp at the start point and pushes it
+along the orbit, ``X <- P_w J(z) X / ||F(z)||`` with ``w = F/||F||`` and
+``P_w = I - w w^dag`` the projection onto w^perp.  After m steps
+``H = X^dag X`` is the pullback of the FS form, written in the start
+frame.  This is the product of the per-step differentials between
+orthonormal frames, since ``B B^dag = P_w`` for any such frame B of
+w^perp, but no frame is built after the first.
+
+The projection stays at every step.  Euler's identity ``J z = d F(z)``
+means the radial part of X would cancel at the end in exact arithmetic,
+but left in, it grows like d^m and swamps densities that reach 1e-187 on
+deep chains.  The projection is taken as the double cross product
+``conj(w) x (Y x w) = |w|^2 Y - w (w^dag Y)``, which never forms
+``1 - |w_i|^2`` by cancellation: where the map contracts hard, J X is
+nearly radial, and the expanded ``Y - w (w^dag Y)`` would leave only
+rounding in X.  All form densities are ratios against omega^k and
+therefore independent of the overall metric normalization.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,23 +81,78 @@ class HomogeneousPolynomial:
         return HomogeneousPolynomial(degree=max(self.degree - 1, 0), terms=tuple(terms))
 
 
+def _monomial_exponents(nvars: int, degree: int) -> tuple:
+    """Exponent tuples of the degree-``degree`` monomials in ``nvars`` variables.
+
+    Listed in ``itertools.combinations_with_replacement`` order, which is
+    the order in which ``_monomials`` builds them.
+    """
+    return tuple(
+        tuple(combo.count(v) for v in range(nvars))
+        for combo in itertools.combinations_with_replacement(range(nvars), degree)
+    )
+
+
+def _monomials(Z: np.ndarray, degree: int) -> np.ndarray:
+    """Degree-``degree`` monomials of the rows ``Z``, shape ``(count, ...)``."""
+    if degree == 0:
+        return np.ones((1,) + Z.shape[:-1], dtype=complex)
+    # each monomial extended only by variables >= its last one: every
+    # monomial appears once, in combinations_with_replacement order
+    cols = [(Z[..., v], v) for v in range(Z.shape[-1])]
+    for _ in range(degree - 1):
+        cols = [(col * Z[..., v], v) for col, last in cols for v in range(last, Z.shape[-1])]
+    return np.stack([col for col, _ in cols])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bilinear cross product along axis 1 of ``(N, 3, ...)`` arrays, returned component-major."""
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    out = np.moveaxis(np.empty(shape[1:] + shape[:1], dtype=complex), -1, 0)
+    for i in range(3):
+        np.subtract(a[:, i - 2] * b[:, i - 1], a[:, i - 1] * b[:, i - 2], out=out[:, i])
+    return out
+
+
+def _component_major(A: np.ndarray) -> np.ndarray:
+    """``A`` with its first axis innermost in memory; no copy if it already is.
+
+    Each ``A[:, i, ...]`` is then contiguous, the layout on which numpy's
+    batched products of small matrices run several times faster.
+    """
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(A, 0, -1)), -1, 0)
+
+
 @dataclass(frozen=True)
 class RationalMapRep:
-    """A rational map of P^k as k+1 homogeneous components of equal degree."""
+    """A rational map of P^k as k+1 homogeneous components of equal degree.
+
+    ``_jacobian`` holds the formal partials as a coefficient matrix: row r
+    belongs to the r-th degree-(d-1) monomial, column ``i*(k+1) + j`` to
+    dF_i/dz_j.
+    """
 
     components: tuple
     degree: int
-    _partials: tuple = field(default=None, repr=False, compare=False)
+    _jacobian: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for comp in self.components:
             if comp.degree != self.degree:
                 raise InvalidParam("component degrees differ")
-        partials = tuple(
-            tuple(comp.partial(v) for v in range(len(self.components)))
-            for comp in self.components
-        )
-        object.__setattr__(self, "_partials", partials)
+        n = self.nvars
+        row = {exps: r for r, exps in enumerate(_monomial_exponents(n, self._jacobian_degree))}
+        coeffs = np.zeros((len(row), n * n), dtype=complex)
+        for i, comp in enumerate(self.components):
+            for j in range(n):
+                for exps, c in comp.partial(j).terms:
+                    coeffs[row[exps], i * n + j] += c
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "_jacobian", coeffs)
+
+    @property
+    def _jacobian_degree(self) -> int:
+        return max(self.degree - 1, 0)
 
     @property
     def nvars(self) -> int:
@@ -89,12 +162,12 @@ class RationalMapRep:
         return np.stack([comp(Z) for comp in self.components], axis=-1)
 
     def jacobian_rows(self, Z: np.ndarray) -> np.ndarray:
-        """Homogeneous Jacobian, shape ``(..., k+1, k+1)``."""
+        """Homogeneous Jacobian, shape ``(..., k+1, k+1)``, component-major."""
+        Z = np.asarray(Z)
         n = self.nvars
-        rows = []
-        for i in range(n):
-            rows.append(np.stack([self._partials[i][j](Z) for j in range(n)], axis=-1))
-        return np.stack(rows, axis=-2)
+        M = _monomials(Z, self._jacobian_degree)
+        J = (self._jacobian.T @ M.reshape(len(M), -1)).reshape((n, n) + Z.shape[:-1])
+        return np.moveaxis(J, (0, 1), (-2, -1))
 
 
 def identity_map(k: int = 2) -> RationalMapRep:
@@ -206,55 +279,68 @@ class FsForm:
     base_point: ProjPoint
 
 
-def differential_rows(map_rep: RationalMapRep, Z: np.ndarray):
-    """One-step FS differential on unit rows.
+def differential_rows(map_rep: RationalMapRep, Z: np.ndarray, X: np.ndarray):
+    """One step of tangent vectors pushed along unit rows by the FS differential.
 
-    Returns ``(W, D, alive)`` where ``W`` are the canonical images and
-    ``D`` is the 2x2 differential between orthonormal frames at z and
-    f(z): D = B_out^dag J B_in / ||F(z)||.
+    ``X`` has shape ``(N, 3, r)``: r tangent vectors at each row of ``Z``
+    (k = 2), as vectors of z^perp.  Returns ``(W, X_next, alive)``: the
+    unit images ``W = F(z)/||F(z)||`` and ``X_next = P_w J(z) X / ||F(z)||``,
+    the images of the vectors in w^perp, with ``P_w = I - w w^dag``.
+    Applied to an orthonormal frame B of z^perp this is ``B_out D`` for
+    the differential D = B_out^dag J B / ||F|| between orthonormal frames,
+    whatever the frame B_out of w^perp.  Rows with ``||F(z)|| < EPS_IND``
+    are flagged dead and keep their ``Z`` and ``X``.  ``W`` and ``X_next``
+    come back component-major, so a chain of steps copies its input once.
     """
+    Z, X = _component_major(Z), _component_major(X)
     F = map_rep.eval_rows(Z)
     nrm = np.linalg.norm(F, axis=-1)
     alive = nrm >= EPS_IND
     safe_nrm = np.where(alive, nrm, 1.0)
-    W = np.where(alive[:, None], F, Z) / np.where(alive, nrm, np.linalg.norm(Z, axis=-1))[:, None]
-    J = map_rep.jacobian_rows(Z)
-    B_in = tangent_frames(Z)
-    B_out = tangent_frames(W)
-    D = np.einsum("nia,nij,njb->nab", np.conj(B_out), J, B_in) / safe_nrm[:, None, None]
-    return W, D, alive
+    W = _component_major(F) / safe_nrm[:, None]
+    Y = np.einsum("nij,nja->nia", map_rep.jacobian_rows(Z), X)
+    Y /= safe_nrm[:, None, None]
+    # P_w Y, stably (see the module docstring)
+    w = W[:, :, None]
+    X_next = _cross(np.conj(w), _cross(Y, w))
+    if not alive.all():
+        W = np.where(alive[:, None], W, Z)
+        X_next = np.where(alive[:, None, None], X_next, X)
+    return W, X_next, alive
 
 
 def pullback_chain(pair: BirationalPair, Z0: np.ndarray, m: int, direction: str = "fwd"):
-    """FS pullback form of f^m along orbits, by the chain rule.
+    """FS pullback form of f^m along orbits, by pushing one tangent frame.
 
-    Returns ``(H, alive, Z_final)`` with ``H = D_m^dag D_m`` of shape
-    ``(N, 2, 2)``.  Rows whose orbit hits indeterminacy proximity are
-    frozen and flagged dead.
+    Starts from the frame ``X = tangent_frames(Z0)`` and applies
+    ``differential_rows`` m times, projecting onto the tangent space at
+    every step (see the module docstring for why).  Returns
+    ``(H, alive, Z_final)`` with ``H = X^dag X`` of shape ``(N, 2, 2)``,
+    the pullback of omega written in the start frame; it equals
+    ``D^dag D`` for the product D of the per-step differentials between
+    orthonormal frames.  Rows whose orbit hits indeterminacy proximity
+    are frozen at that step and flagged dead.
     """
     if pair.k != 2:
         raise DimensionMismatch("pullback chains implemented for k = 2 only")
     map_rep = pair.map_for(direction)
-    N = Z0.shape[0]
-    D_total = np.tile(np.eye(2, dtype=complex), (N, 1, 1))
-    alive = np.ones(N, dtype=bool)
     Z = np.asarray(Z0, dtype=complex)
+    X = tangent_frames(Z)
+    alive = np.ones(len(Z), dtype=bool)
     for _ in range(m):
-        W, D, ok = differential_rows(map_rep, Z)
-        alive = alive & ok
-        D_total = np.where(alive[:, None, None], D @ D_total, D_total)
-        Z = np.where(alive[:, None], W, Z)
-    H = np.einsum("nca,ncb->nab", np.conj(D_total), D_total)
+        Z, X, ok = differential_rows(map_rep, Z, X)
+        alive &= ok
+    H = np.einsum("nca,ncb->nab", np.conj(X), X)
     return H, alive, Z
 
 
 def fs_pullback_form(map_rep: RationalMapRep, p: ProjPoint) -> FsForm:
     """Pointwise f^* omega as a PSD Hermitian 2x2 matrix at p."""
     Z = p.coords[None, :]
-    _, D, alive = differential_rows(map_rep, Z)
+    _, X, alive = differential_rows(map_rep, Z, tangent_frames(Z))
     if not alive[0]:
         raise IndeterminacyProximity(f"point {p} is numerically indeterminate", step=0)
-    H = np.conj(D[0]).T @ D[0]
+    H = np.conj(X[0]).T @ X[0]
     H = 0.5 * (H + np.conj(H).T)
     return FsForm(matrix=H, base_point=p)
 
@@ -284,7 +370,7 @@ def wedge_density(A: FsForm, B: FsForm) -> float:
     return float(wedge_density_rows(A.matrix, B.matrix))
 
 
-def make_henon(a: complex, p_coeffs, *_, **__) -> BirationalPair:
+def make_henon(a: complex, p_coeffs) -> BirationalPair:
     """Henon pair (x, y) -> (y, p(y) - a x) with deg p >= 2.
 
     ``p_coeffs`` lists the coefficients of p from constant to leading.

@@ -18,10 +18,10 @@ import numpy as np
 from pydantic import BaseModel, ConfigDict, Field, ValidationError, model_validator
 
 from . import __version__
-from .errors import ConfigInvalid, InvalidParam
+from .errors import ConfigInvalid, InsufficientSignal
 from .genericity import bd_partial_sums
 from .maps import BirationalPair, make_cremona_composed, make_henon, random_unitary
-from .measure import approx_T_plus_wedge_omega, approx_mu, effective_sample_size
+from .measure import DROP_WARN_FRACTION, approx_T_plus_wedge_omega, approx_mu, effective_sample_size
 from .mixing import (
     DecayFit,
     c_sequence,
@@ -234,7 +234,7 @@ def _cloud_summary(cloud):
         "ess": effective_sample_size(cloud),
         "dropped_count": cloud.dropped_count,
         "dropped_fraction": cloud.dropped_fraction,
-        "drop_warning": cloud.dropped_fraction > 0.01,
+        "drop_warning": cloud.dropped_fraction > DROP_WARN_FRACTION,
         "depth_m": cloud.depth_m,
         "count": cloud.count,
         "clip_quantile": cloud.clip_quantile,
@@ -275,9 +275,7 @@ def _run_cn(cfg, pair, out):
     try:
         fit = decay_fit(seq, seed=cfg.seed)
         verdict = compare_to_theory(fit, pair, cfg.alpha, pair.regular, cfg.slack_fraction)
-    except InvalidParam:
-        raise
-    except Exception as exc:  # InsufficientSignal stays a reportable outcome
+    except InsufficientSignal as exc:  # a reportable outcome, not a failure
         fit, verdict = None, {"error": type(exc).__name__}
     _write_json(
         out / "cn.json",
@@ -304,9 +302,7 @@ def _run_correlation(cfg, pair, out):
     try:
         fit = decay_fit(series, seed=cfg.seed)
         verdict = compare_to_theory(fit, pair, cfg.alpha, pair.regular, cfg.slack_fraction)
-    except InvalidParam:
-        raise
-    except Exception as exc:
+    except InsufficientSignal as exc:
         fit, verdict = None, {"error": type(exc).__name__}
     _write_json(
         out / "correlation.json",

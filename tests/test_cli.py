@@ -5,8 +5,9 @@ import math
 
 import pytest
 
+from birlab import runner
 from birlab.cli import main
-from birlab.errors import ConfigInvalid
+from birlab.errors import ConfigInvalid, DegenerateCloud, InsufficientSignal
 from birlab.mixing import DecayFit
 from birlab.maps import make_henon
 from birlab.runner import build_pair, compare_to_theory, load_config
@@ -207,3 +208,55 @@ def test_compare_to_theory_rules():
     assert bad["passed"] is False
     generic = compare_to_theory(fit(0.18, 0.16, 0.20), henon, 2.0, False)
     assert generic["passed"] is True
+
+
+FIT_CONFIGS = {
+    "cn": {"n_max": 3, "observables": [{"name": "fs-coordinate", "params": {"index": 0}}]},
+    "correlation": {
+        "N_max": 3,
+        "count": 20000,
+        "observables": [
+            {"name": "fs-coordinate", "params": {"index": 0}},
+            {"name": "fs-coordinate", "params": {"index": 1}},
+        ],
+    },
+}
+
+
+def _fit_config(tmp_path, experiment):
+    payload = {
+        "map": BASE_MAP,
+        "experiment": experiment,
+        "seed": 3,
+        "depth_m": 1,
+        "count": 2000,
+        "output_dir": str(tmp_path / "out"),
+        **FIT_CONFIGS[experiment],
+    }
+    return _write_config(tmp_path / "cfg.json", payload)
+
+
+def _raise(exc):
+    def fit(*args, **kwargs):
+        raise exc
+
+    return fit
+
+
+@pytest.mark.parametrize("experiment", sorted(FIT_CONFIGS))
+def test_insufficient_signal_is_a_reported_outcome(tmp_path, monkeypatch, experiment):
+    monkeypatch.setattr(runner, "decay_fit", _raise(InsufficientSignal("flat series")))
+    assert main([experiment, "--config", _fit_config(tmp_path, experiment)]) == 0
+    summary = json.loads((tmp_path / "out" / f"{experiment}.json").read_text())
+    assert summary["fit"] is None
+    assert summary["theory"] == {"error": "InsufficientSignal"}
+
+
+@pytest.mark.parametrize("experiment", sorted(FIT_CONFIGS))
+def test_other_fit_errors_propagate(tmp_path, monkeypatch, experiment):
+    cfg = _fit_config(tmp_path, experiment)
+    monkeypatch.setattr(runner, "decay_fit", _raise(DegenerateCloud("weights collapsed")))
+    assert main([experiment, "--config", cfg]) == 3
+    monkeypatch.setattr(runner, "decay_fit", _raise(ZeroDivisionError("bug")))
+    with pytest.raises(ZeroDivisionError):
+        main([experiment, "--config", cfg])

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birlab.errors import (
     DimensionMismatch,
@@ -15,6 +19,7 @@ from birlab.maps import (
     iterate,
     linear_map,
     make_cremona_composed,
+    RationalMapRep,
     make_henon,
     pullback_chain,
     pullback_density,
@@ -23,7 +28,7 @@ from birlab.maps import (
     wedge_density,
     wedge_density_rows,
 )
-from birlab.projective import fs_distance, normalize, sample_fs_rows
+from birlab.projective import fs_distance, normalize, sample_fs_rows, tangent_frames
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +208,13 @@ def test_make_henon_rejects_bad_params():
         make_henon(0.3, [1.0, 1.0])
 
 
+def test_make_henon_rejects_extra_arguments():
+    with pytest.raises(TypeError):
+        make_henon(0.3, [-1.2, 0.0, 1.0], 5)
+    with pytest.raises(TypeError):
+        make_henon(0.3, [-1.2, 0.0, 1.0], degree=2)
+
+
 def test_degree_sequence(henon):
     # d_q = d^q for q <= s, then delta^(k-q)
     assert henon.degree_sequence() == [1, 2, 1]
@@ -236,3 +248,110 @@ def test_random_unitary_is_unitary():
     U = random_unitary(7)
     assert np.allclose(U @ np.conj(U).T, np.eye(3), atol=1e-12)
     assert np.array_equal(U, random_unitary(7))
+
+
+def _term_jacobian(map_rep, Z):
+    """Homogeneous Jacobian from the formal partials, one term table each."""
+    n = map_rep.nvars
+    return np.stack(
+        [np.stack([comp.partial(j)(Z) for j in range(n)], axis=-1) for comp in map_rep.components],
+        axis=-2,
+    )
+
+
+def _frame_product_H(map_rep, Z, m):
+    """Oracle: D^dag D for the product of B_out^dag J B_in / ||F|| over m
+    steps, with fresh orthonormal frames at every point of the orbit."""
+    D_total = np.tile(np.eye(2, dtype=complex), (len(Z), 1, 1))
+    for _ in range(m):
+        F = map_rep.eval_rows(Z)
+        nrm = np.linalg.norm(F, axis=-1)
+        W = F / nrm[:, None]
+        J = _term_jacobian(map_rep, Z)
+        D = np.einsum("nia,nij,njb->nab", np.conj(tangent_frames(W)), J, tangent_frames(Z))
+        D_total = D / nrm[:, None, None] @ D_total
+        Z = W
+    return np.einsum("nca,ncb->nab", np.conj(D_total), D_total)
+
+
+CHAIN_PAIRS = {
+    "classic_henon": lambda: make_henon(0.3, [-1.2, 0.0, 1.0]),
+    "cubic_henon": lambda: make_henon(0.4, [0.1, -1.0, 0.0, 1.0]),
+    "cremona": lambda: make_cremona_composed(random_unitary(7)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_PAIRS))
+@pytest.mark.parametrize("direction", ["fwd", "bwd"])
+def test_pullback_chain_matches_per_step_frames(name, direction):
+    pair = CHAIN_PAIRS[name]()
+    Z = sample_fs_rows(500, 41)
+    for m in range(1, 6):
+        H, alive, _ = pullback_chain(pair, Z, m, direction)
+        assert alive.all()
+        H_ref = _frame_product_H(pair.map_for(direction), Z, m)
+        scale = np.abs(H_ref).max(axis=(1, 2))
+        err = np.abs(H - H_ref).max(axis=(1, 2))
+        # escaping cubic orbits contract past the double range by m = 5;
+        # there both sides must have underflowed
+        normal = scale > 1e-250
+        assert np.all(err[normal] <= 1e-10 * scale[normal])
+        assert np.all(np.abs(H[~normal]) <= 1e-240)
+
+
+@pytest.mark.parametrize("name", ["classic_henon", "cremona"])
+def test_pullback_chain_freezes_rows_on_indeterminacy(name):
+    pair = CHAIN_PAIRS[name]()
+    on_ind = np.array([q.coords for q in pair.ind_fwd])
+    Z0 = np.concatenate([on_ind, sample_fs_rows(20, 5)])
+    H, alive, Z_final = pullback_chain(pair, Z0, 4)
+    dead = np.arange(len(on_ind))
+    assert not alive[dead].any() and alive[len(on_ind):].all()
+    # dead at the first step: the start frame is returned untouched
+    assert np.allclose(H[dead], np.eye(2), atol=1e-12)
+    assert np.array_equal(Z_final[dead], Z0[dead])
+
+
+def test_pullback_chain_freezes_rows_dying_later():
+    # z = f^{-1}(q) for q on I(f) is alive for one step and dead after it
+    pair = CHAIN_PAIRS["cremona"]()
+    Z0 = np.array([eval_point(pair.bwd, q).coords for q in pair.ind_fwd])
+    H1, alive1, Z1 = pullback_chain(pair, Z0, 1)
+    H4, alive4, Z4 = pullback_chain(pair, Z0, 4)
+    assert alive1.all() and not alive4.any()
+    assert np.array_equal(H4, H1)
+    assert np.array_equal(Z4, Z1)
+
+
+COEFFS = st.complex_numbers(
+    min_magnitude=0.1, max_magnitude=10.0, allow_nan=False, allow_infinity=False
+)
+
+
+def _random_maps(degree):
+    exponents = [e for e in itertools.product(range(degree + 1), repeat=3) if sum(e) == degree]
+    table = st.dictionaries(st.sampled_from(exponents), COEFFS, min_size=1)
+    tables = st.lists(table, min_size=3, max_size=3)
+    return tables.map(
+        lambda ts: RationalMapRep(
+            components=tuple(HomogeneousPolynomial.from_dict(degree, t) for t in ts), degree=degree
+        )
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    map_rep=st.integers(2, 4).flatmap(_random_maps),
+    seed=st.integers(0, 2**16),
+)
+def test_compiled_jacobian_matches_partials_and_euler(map_rep, seed):
+    Z = sample_fs_rows(16, seed)
+    J = map_rep.jacobian_rows(Z)
+    scale = max(abs(c) for comp in map_rep.components for _, c in comp.terms) * map_rep.degree**2
+    assert J.shape == (16, 3, 3)
+    assert np.max(np.abs(J - _term_jacobian(map_rep, Z))) <= 1e-12 * scale
+    # Euler's identity for homogeneous F of degree d: J z = d F(z)
+    Jz = np.einsum("nij,nj->ni", J, Z)
+    assert np.max(np.abs(Jz - map_rep.degree * map_rep.eval_rows(Z))) <= 1e-12 * scale
+    # a single point gives the same matrix as its row
+    assert np.allclose(map_rep.jacobian_rows(Z[3]), J[3], rtol=0, atol=1e-14 * scale)
