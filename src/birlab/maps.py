@@ -159,7 +159,8 @@ class RationalMapRep:
         return len(self.components)
 
     def eval_rows(self, Z: np.ndarray) -> np.ndarray:
-        return np.stack([comp(Z) for comp in self.components], axis=-1)
+        """Components at each row, shape ``(..., k+1)``, component-major."""
+        return np.moveaxis(np.stack([comp(Z) for comp in self.components]), 0, -1)
 
     def jacobian_rows(self, Z: np.ndarray) -> np.ndarray:
         """Homogeneous Jacobian, shape ``(..., k+1, k+1)``, component-major."""
@@ -244,11 +245,14 @@ def eval_rows_checked(map_rep: RationalMapRep, Z: np.ndarray):
     """Vectorized evaluation; returns (images, alive mask).
 
     Dead rows (||F|| < eps on unit input) keep their input value so that
-    downstream array code stays finite.
+    downstream array code stays finite.  When every row is alive, the
+    images are ``F/||F||`` in the component-major layout of ``eval_rows``.
     """
     F = map_rep.eval_rows(Z)
     nrm = np.linalg.norm(F, axis=-1)
     alive = nrm >= EPS_IND
+    if alive.all():
+        return F / nrm[..., None], alive
     safe = np.where(alive[..., None], F, Z)
     safe = safe / np.linalg.norm(safe, axis=-1, keepdims=True)
     return safe, alive
@@ -297,7 +301,7 @@ def differential_rows(map_rep: RationalMapRep, Z: np.ndarray, X: np.ndarray):
     nrm = np.linalg.norm(F, axis=-1)
     alive = nrm >= EPS_IND
     safe_nrm = np.where(alive, nrm, 1.0)
-    W = _component_major(F) / safe_nrm[:, None]
+    W = F / safe_nrm[:, None]
     Y = np.einsum("nij,nja->nia", map_rep.jacobian_rows(Z), X)
     Y /= safe_nrm[:, None, None]
     # P_w Y, stably (see the module docstring)

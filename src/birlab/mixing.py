@@ -7,6 +7,10 @@ weights renormalized and the dropped fraction reported per lag.  Standard
 errors come from a seeded block bootstrap over the weighted samples (200
 resamples of 1000 contiguous blocks), which prices in both the weight
 spread and the observable variance at i.i.d.-sample cost.
+
+Each estimator computes every orbit state and every observable value it
+needs once: ``two_sided_grid`` evaluates psi once per backward lag, before
+the forward orbit is built, and keeps only those values and masks.
 """
 
 from __future__ import annotations
@@ -61,8 +65,10 @@ class DecayFit:
 class OrbitTable:
     """Incremental orbits of a cloud's points under f or f^-1.
 
-    ``values(obs, n)`` returns the observable along the n-th iterate and
-    the alive mask at that lag; dead rows are frozen.
+    ``state(n)`` returns the n-th iterate and the alive mask at that lag;
+    dead rows are frozen at their last value.  ``Z`` is the list of states
+    computed so far, ``Z[0]`` the cloud's own points; later states may be
+    component-major (see ``eval_rows_checked``).
     """
 
     def __init__(self, pair: BirationalPair, cloud: WeightedCloud, direction: str = "fwd"):
@@ -74,7 +80,7 @@ class OrbitTable:
         while len(self.Z) <= n:
             W, ok = eval_rows_checked(self.map_rep, self.Z[-1])
             alive = self.alive[-1] & ok
-            self.Z.append(np.where(alive[:, None], W, self.Z[-1]))
+            self.Z.append(W if alive.all() else np.where(alive[:, None], W, self.Z[-1]))
             self.alive.append(alive)
 
     def state(self, n: int):
@@ -97,10 +103,11 @@ def _weighted_mean_boot(w, vals, alive, rng):
     total = wa.sum()
     if total <= 0:
         raise DegenerateCloud("all samples dropped at this lag")
-    mean = float(np.sum(wa * vals) / total)
+    wv = wa * vals
+    mean = float(np.sum(wv) / total)
     edges = _block_edges(len(w))
     Sw = np.add.reduceat(wa, edges)
-    Sv = np.add.reduceat(wa * vals, edges)
+    Sv = np.add.reduceat(wv, edges)
     choice = rng.integers(0, len(edges), size=(N_BOOT, len(edges)))
     rep = Sv[choice].sum(axis=1) / np.maximum(Sw[choice].sum(axis=1), 1e-300)
     return mean, float(rep.std(ddof=1))
@@ -117,15 +124,17 @@ def _weighted_cov_boot(w, a, b, alive, rng):
     ref = int(np.argmax(alive))
     a = a - a[ref]
     b = b - b[ref]
-    Ea = np.sum(wa * a) / total
-    Eb = np.sum(wa * b) / total
-    Eab = np.sum(wa * a * b) / total
+    wa_a, wa_b = wa * a, wa * b
+    wa_ab = wa_a * b
+    Ea = np.sum(wa_a) / total
+    Eb = np.sum(wa_b) / total
+    Eab = np.sum(wa_ab) / total
     value = float(Eab - Ea * Eb)
     edges = _block_edges(len(w))
     Sw = np.add.reduceat(wa, edges)
-    Sa = np.add.reduceat(wa * a, edges)
-    Sb = np.add.reduceat(wa * b, edges)
-    Sab = np.add.reduceat(wa * a * b, edges)
+    Sa = np.add.reduceat(wa_a, edges)
+    Sb = np.add.reduceat(wa_b, edges)
+    Sab = np.add.reduceat(wa_ab, edges)
     choice = rng.integers(0, len(edges), size=(N_BOOT, len(edges)))
     Tw = np.maximum(Sw[choice].sum(axis=1), 1e-300)
     rep = Sab[choice].sum(axis=1) / Tw - (Sa[choice].sum(axis=1) / Tw) * (
@@ -223,21 +232,23 @@ def two_sided_grid(
 ):
     """All two-sided correlations for n <= n_max, m <= m_max.
 
-    Returns a nested list ``grid[n][m] = (value, stderr)``.
+    Returns a nested list ``grid[n][m] = (value, stderr)``.  psi is
+    evaluated once per backward lag, and the backward states are released
+    before the forward orbit is built.
     """
     if n_max < 0 or m_max < 0:
         raise InvalidParam("lags must be >= 0")
     _require_healthy(mu_cloud)
-    fwd = OrbitTable(pair, mu_cloud, "fwd")
     bwd = OrbitTable(pair, mu_cloud, "bwd")
+    backward = [(psi.fn(Zb), alive_b) for Zb, alive_b in map(bwd.state, range(m_max + 1))]
+    del bwd
+    fwd = OrbitTable(pair, mu_cloud, "fwd")
     grid = []
     for n in range(n_max + 1):
         Zf, alive_f = fwd.state(n)
         a = phi.fn(Zf)
         row = []
-        for m in range(m_max + 1):
-            Zb, alive_b = bwd.state(m)
-            b = psi.fn(Zb)
+        for m, (b, alive_b) in enumerate(backward):
             rng = _boot_rng(mu_cloud.seed, 300 + 64 * n + m)
             row.append(
                 _weighted_cov_boot(mu_cloud.weights, a, b, alive_f & alive_b, rng)

@@ -183,7 +183,13 @@ def _observables(cfg: ExperimentConfig, how_many: int):
         descs = [ObservableConfig(name="affine-bump", params={"radius": 2.0})]
     while len(descs) < how_many:
         descs.append(descs[-1])
-    return [observable_catalog(d.name, d.params) for d in descs[:how_many]]
+    # each distinct (name, params) is built, and its norm estimated, once
+    keys = [json.dumps([d.name, d.params], sort_keys=True) for d in descs[:how_many]]
+    built = {}
+    for key, d in zip(keys, descs):
+        if key not in built:
+            built[key] = observable_catalog(d.name, d.params)
+    return [built[key] for key in keys]
 
 
 def _run_genericity(cfg, pair, out):

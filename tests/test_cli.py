@@ -2,15 +2,19 @@ import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from birlab import runner
+from birlab import observables, runner
 from birlab.cli import main
 from birlab.errors import ConfigInvalid, DegenerateCloud, InsufficientSignal
 from birlab.mixing import DecayFit
 from birlab.maps import make_henon
+from birlab.observables import observable_catalog
 from birlab.runner import build_pair, compare_to_theory, load_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _write_config(path, payload):
@@ -170,6 +174,30 @@ def test_run_determinism_byte_identical(tmp_path):
     manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
     for name, digest in manifest["outputs"].items():
         assert digests[0][name] == digest
+
+
+def test_correlation_builds_each_observable_once(tmp_path, monkeypatch):
+    # correlation_henon.json lists the same bump twice
+    calls = []
+    estimate_norm = observables.estimate_norm
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate_norm(*args, **kwargs)
+
+    monkeypatch.setattr(observables, "estimate_norm", counted)
+    config = str(CONFIGS / "correlation_henon.json")
+    assert main(["correlation", "--config", config, "--out", str(tmp_path / "once")]) == 0
+    assert len(calls) == 1
+    # one build per listed observable, as before the dedupe, writes the same bytes
+    monkeypatch.setattr(
+        runner, "_observables",
+        lambda cfg, how_many: [observable_catalog(d.name, d.params) for d in cfg.observables],
+    )
+    assert main(["correlation", "--config", config, "--out", str(tmp_path / "each")]) == 0
+    assert len(calls) == 3
+    for name in ("correlation.csv", "correlation.json"):
+        assert (tmp_path / "once" / name).read_bytes() == (tmp_path / "each" / name).read_bytes()
 
 
 def test_run_measure_emits_summary(tmp_path):

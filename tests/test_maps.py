@@ -14,6 +14,7 @@ from birlab.maps import (
     FsForm,
     HomogeneousPolynomial,
     eval_point,
+    eval_rows_checked,
     fs_pullback_form,
     identity_map,
     iterate,
@@ -321,6 +322,31 @@ def test_pullback_chain_freezes_rows_dying_later():
     assert alive1.all() and not alive4.any()
     assert np.array_equal(H4, H1)
     assert np.array_equal(Z4, Z1)
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_PAIRS))
+def test_eval_rows_checked_live_dead_and_layout(name):
+    pair = CHAIN_PAIRS[name]()
+    on_ind = np.array([q.coords for q in pair.ind_fwd])
+    Z = sample_fs_rows(50, 3)
+    W, alive = eval_rows_checked(pair.fwd, Z)
+    assert alive.all()
+    F = pair.fwd.eval_rows(Z)
+    assert np.array_equal(W, F / np.linalg.norm(F, axis=-1, keepdims=True))
+    # rows on I(f) are flagged dead and keep their (unit) input
+    mixed = np.concatenate([Z[:20], on_ind, Z[20:]])
+    W_mixed, alive_mixed = eval_rows_checked(pair.fwd, mixed)
+    dead = np.arange(20, 20 + len(on_ind))
+    assert not alive_mixed[dead].any()
+    assert np.allclose(W_mixed[dead], on_ind, rtol=0, atol=1e-15)
+    # a dead row does not move the images of the live ones
+    assert np.array_equal(np.delete(W_mixed, dead, axis=0), W)
+    assert np.array_equal(np.delete(alive_mixed, dead), alive)
+    # nor does the memory layout of the input
+    for rows in (Z, mixed):
+        W_row, alive_row = eval_rows_checked(pair.fwd, np.ascontiguousarray(rows))
+        W_col, alive_col = eval_rows_checked(pair.fwd, np.asfortranarray(rows))
+        assert np.array_equal(W_row, W_col) and np.array_equal(alive_row, alive_col)
 
 
 COEFFS = st.complex_numbers(

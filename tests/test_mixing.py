@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from birlab.errors import DegenerateCloud, InsufficientSignal, InvalidParam
-from birlab.maps import make_cremona_composed, make_henon, random_unitary
+from birlab.maps import eval_point, make_cremona_composed, make_henon, random_unitary
 from birlab.measure import WeightedCloud, approx_T_plus_wedge_omega, approx_mu
 from birlab.mixing import (
     CnSequence,
+    OrbitTable,
     c_sequence,
     correlation,
     correlation_series,
@@ -18,6 +19,7 @@ from birlab.mixing import (
     two_sided_grid,
 )
 from birlab.observables import Observable, observable_catalog
+from birlab.projective import sample_fs_rows
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +159,53 @@ def test_two_sided_grid_shape(henon, mu_small):
     assert len(grid) == 3 and all(len(row) == 4 for row in grid)
     v, s = correlation_two_sided(henon, phi, psi, 1, 2, mu_small)
     assert grid[1][2] == (v, s)
+
+
+def _cloud_with(special, count=400, seed=3):
+    """A hand-built cloud: FS draws plus the rows ``special`` up front."""
+    points = np.concatenate([np.asarray(special, dtype=complex), sample_fs_rows(count, seed)])
+    w = np.random.default_rng(seed).uniform(0.5, 1.5, size=len(points))
+    return WeightedCloud(
+        points=points, weights=w / w.sum(), depth_m=0, seed=seed, clip_quantile=1.0,
+        dropped_count=0, raw_mean=1.0, raw_stderr=0.0,
+    )
+
+
+def test_two_sided_grid_equals_every_cell(henon):
+    # [1:0:0] dies under f and [0:1:0] under f^-1, so both masks drop rows
+    cloud = _cloud_with([[1, 0, 0], [0, 1, 0]])
+    phi = observable_catalog("fs-coordinate", {"index": 0})
+    psi = observable_catalog("affine-bump", {"radius": 2.0})
+    _, alive_f = OrbitTable(henon, cloud, "fwd").state(1)
+    _, alive_b = OrbitTable(henon, cloud, "bwd").state(1)
+    assert not alive_f[0] and alive_f[1] and alive_b[0] and not alive_b[1]
+    grid = two_sided_grid(henon, phi, psi, 3, 4, cloud)
+    assert len(grid) == 4 and all(len(row) == 5 for row in grid)
+    for n in range(4):
+        for m in range(5):
+            assert grid[n][m] == correlation_two_sided(henon, phi, psi, n, m, cloud)
+
+
+def test_orbit_table_keeps_states_and_freezes_dead_rows():
+    pair = make_cremona_composed(random_unitary(7))
+    # rows on I(f) die at the first step, their preimages at the second
+    on_ind = [q.coords for q in pair.ind_fwd]
+    preimages = [eval_point(pair.bwd, q).coords for q in pair.ind_fwd]
+    cloud = _cloud_with(on_ind + preimages, count=50)
+    table = OrbitTable(pair, cloud, "fwd")
+    Z, alive = table.state(4)
+    assert len(table.Z) == 5 and len(table.alive) == 5
+    assert table.Z[0] is cloud.points
+    assert Z is table.Z[4] and alive is table.alive[4]
+    assert not alive[:6].any() and alive[6:].all()
+    died = {0: 1, 1: 1, 2: 1, 3: 2, 4: 2, 5: 2}
+    for row, step in died.items():
+        assert table.alive[step - 1][row] and not table.alive[step][row]
+        for n in range(step, 5):
+            assert np.array_equal(table.Z[n][row], table.Z[step - 1][row])
+    # asking again computes nothing new
+    table.state(2)
+    assert len(table.Z) == 5
 
 
 def test_theoretical_rate_values(henon):
