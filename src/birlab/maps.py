@@ -244,18 +244,18 @@ def eval_point(map_rep: RationalMapRep, p: ProjPoint) -> ProjPoint:
 def eval_rows_checked(map_rep: RationalMapRep, Z: np.ndarray):
     """Vectorized evaluation; returns (images, alive mask).
 
-    Dead rows (||F|| < eps on unit input) keep their input value so that
-    downstream array code stays finite.  When every row is alive, the
-    images are ``F/||F||`` in the component-major layout of ``eval_rows``.
+    Live rows are ``F/||F||`` in the component-major layout of
+    ``eval_rows``.  Dead rows (||F|| < eps on unit input) come back equal
+    to their input, so that downstream array code stays finite and a dead
+    row evaluates to the same dead value again.
     """
     F = map_rep.eval_rows(Z)
     nrm = np.linalg.norm(F, axis=-1)
     alive = nrm >= EPS_IND
-    if alive.all():
-        return F / nrm[..., None], alive
-    safe = np.where(alive[..., None], F, Z)
-    safe = safe / np.linalg.norm(safe, axis=-1, keepdims=True)
-    return safe, alive
+    W = F / np.where(alive, nrm, 1.0)[..., None]
+    if not alive.all():
+        W = np.where(alive[..., None], W, Z)
+    return W, alive
 
 
 def iterate(pair: BirationalPair, p: ProjPoint, n: int, direction: str = "fwd") -> list:

@@ -80,7 +80,8 @@ class OrbitTable:
         while len(self.Z) <= n:
             W, ok = eval_rows_checked(self.map_rep, self.Z[-1])
             alive = self.alive[-1] & ok
-            self.Z.append(W if alive.all() else np.where(alive[:, None], W, self.Z[-1]))
+            # dead rows come back unchanged, so rows that died earlier stay frozen
+            self.Z.append(W)
             self.alive.append(alive)
 
     def state(self, n: int):
