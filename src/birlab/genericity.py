@@ -4,6 +4,10 @@ The diagnostic reports partial sums of d^{-n} log dist(I(f), f^n(I(f^-1)))
 (and the mirror series with delta^{-n} weights) together with an explicit
 tail bound.  A vanishing distance is a legitimate experimental finding and
 is reported through the ``degenerate`` flag, never raised.
+
+Each orbit advances its source points as one row batch through the checked
+map step (``maps.step_rows``).  A point on the map's indeterminacy set is
+flagged, and the step returns it unchanged; only its phase is fixed again.
 """
 
 from __future__ import annotations
@@ -12,9 +16,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import InvalidParam
-from .maps import EPS_IND, BirationalPair, IndeterminacyProximity, eval_point
-from .projective import fs_distance
+from .maps import EPS_IND, BirationalPair, eval_rows_checked
+from .projective import ProjPoint, fix_phase_rows, min_set_distance
 
 EPS_DEGENERATE = EPS_IND
 
@@ -50,27 +56,16 @@ def indeterminacy_orbit(pair: BirationalPair, n: int, direction: str = "fwd") ->
         raise InvalidParam("orbit length must be >= 0")
     map_rep = pair.map_for(direction)
     sources = list(pair.ind_bwd if direction == "fwd" else pair.ind_fwd)
-    current = list(sources)
-    flagged_at = [None] * len(sources)
-    steps = [list(current)]
-    for j in range(n):
-        nxt = []
-        for i, p in enumerate(current):
-            if flagged_at[i] is not None:
-                nxt.append(p)
-                continue
-            try:
-                nxt.append(eval_point(map_rep, p))
-            except IndeterminacyProximity:
-                flagged_at[i] = j
-                nxt.append(p)
-        current = nxt
-        steps.append(list(current))
-    # points sitting on the opposite indeterminacy set already at step 0
     targets = pair.ind_fwd if direction == "fwd" else pair.ind_bwd
-    for i, p in enumerate(sources):
-        if flagged_at[i] is None and any(fs_distance(p, q) < EPS_DEGENERATE for q in targets):
-            flagged_at[i] = 0
+    # a source on the opposite indeterminacy set is degenerate at step 0
+    flagged_at = [0 if min_set_distance([p], targets) < EPS_DEGENERATE else None for p in sources]
+    steps = [sources]
+    Z = np.array([p.coords for p in sources])
+    for j in range(n):
+        W, alive = eval_rows_checked(map_rep, Z)
+        flagged_at = [j if f is None and not ok else f for f, ok in zip(flagged_at, alive)]
+        Z = fix_phase_rows(W)
+        steps.append([ProjPoint(row) for row in Z])
     return IndeterminacyOrbit(steps=steps, flagged_at=flagged_at)
 
 
@@ -81,7 +76,7 @@ def _series(pair: BirationalPair, N: int, direction: str):
     terms = []
     degenerate_index = None
     for n in range(N + 1):
-        dist = min(fs_distance(p, q) for p in orbit.steps[n] for q in targets)
+        dist = min_set_distance(orbit.steps[n], targets)
         # a flagged orbit point collided with its own map's indeterminacy
         # set; the recorded distance already reflects the collapse
         if dist < EPS_DEGENERATE and degenerate_index is None:

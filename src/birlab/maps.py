@@ -3,6 +3,10 @@
 Iteration is always pointwise (the map applied n times); compositions are
 never expanded symbolically, so degrees stay at d per step.
 
+Every orbit, here and in ``potential`` and ``genericity``, advances by one
+checked step, ``step_rows``: one evaluation of F, one norm, dead rows
+(``||F|| < EPS_IND``, numerically on I(f)) returned unchanged.
+
 Differentials of the induced map on P^2 come from the homogeneous
 Jacobian J(z), compiled once per map into a coefficient matrix over the
 degree-(d-1) monomials.  A pullback chain takes one Hermitian-orthonormal
@@ -33,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, IndeterminacyProximity, InvalidParam
-from .projective import ProjPoint, canonicalize_rows, normalize, tangent_frames
+from .projective import ProjPoint, canonicalize_rows, fix_phase_rows, normalize, tangent_frames
 
 EPS_IND = 1e-10
 
@@ -232,22 +236,13 @@ class BirationalPair:
         return [self.d**q if q <= self.s else self.delta ** (self.k - q) for q in range(self.k + 1)]
 
 
-def eval_point(map_rep: RationalMapRep, p: ProjPoint) -> ProjPoint:
-    """Image of p, or IndeterminacyProximity if numerically on I(f)."""
-    F = map_rep.eval_rows(p.coords)
-    nrm = np.linalg.norm(F)
-    if nrm < EPS_IND:
-        raise IndeterminacyProximity(f"point {p} is numerically indeterminate", step=0)
-    return normalize(F)
+def step_rows(map_rep: RationalMapRep, Z: np.ndarray):
+    """The checked map step on unit rows; returns ``(W, ||F||, alive)``.
 
-
-def eval_rows_checked(map_rep: RationalMapRep, Z: np.ndarray):
-    """Vectorized evaluation; returns (images, alive mask).
-
-    Live rows are ``F/||F||`` in the component-major layout of
-    ``eval_rows``.  Dead rows (||F|| < eps on unit input) come back equal
-    to their input, so that downstream array code stays finite and a dead
-    row evaluates to the same dead value again.
+    Live rows (``||F(z)|| >= EPS_IND``) map to ``W = F(z)/||F(z)||`` in the
+    component-major layout of ``eval_rows``.  Dead rows come back equal to
+    their input, so that downstream array code stays finite and a dead row
+    evaluates to the same dead value again.
     """
     F = map_rep.eval_rows(Z)
     nrm = np.linalg.norm(F, axis=-1)
@@ -255,7 +250,21 @@ def eval_rows_checked(map_rep: RationalMapRep, Z: np.ndarray):
     W = F / np.where(alive, nrm, 1.0)[..., None]
     if not alive.all():
         W = np.where(alive[..., None], W, Z)
+    return W, nrm, alive
+
+
+def eval_rows_checked(map_rep: RationalMapRep, Z: np.ndarray):
+    """Vectorized evaluation; returns (images, alive mask) of ``step_rows``."""
+    W, _, alive = step_rows(map_rep, Z)
     return W, alive
+
+
+def eval_point(map_rep: RationalMapRep, p: ProjPoint) -> ProjPoint:
+    """Image of p, or IndeterminacyProximity if numerically on I(f)."""
+    W, _, alive = step_rows(map_rep, p.coords)
+    if not alive:
+        raise IndeterminacyProximity(f"point {p} is numerically indeterminate", step=0)
+    return ProjPoint(fix_phase_rows(W))
 
 
 def iterate(pair: BirationalPair, p: ProjPoint, n: int, direction: str = "fwd") -> list:
@@ -292,23 +301,18 @@ def differential_rows(map_rep: RationalMapRep, Z: np.ndarray, X: np.ndarray):
     the images of the vectors in w^perp, with ``P_w = I - w w^dag``.
     Applied to an orthonormal frame B of z^perp this is ``B_out D`` for
     the differential D = B_out^dag J B / ||F|| between orthonormal frames,
-    whatever the frame B_out of w^perp.  Rows with ``||F(z)|| < EPS_IND``
-    are flagged dead and keep their ``Z`` and ``X``.  ``W`` and ``X_next``
-    come back component-major, so a chain of steps copies its input once.
+    whatever the frame B_out of w^perp.  Rows dead under ``step_rows`` keep
+    their ``Z`` and ``X``.  ``W`` and ``X_next`` come back component-major,
+    so a chain of steps copies its input once.
     """
     Z, X = _component_major(Z), _component_major(X)
-    F = map_rep.eval_rows(Z)
-    nrm = np.linalg.norm(F, axis=-1)
-    alive = nrm >= EPS_IND
-    safe_nrm = np.where(alive, nrm, 1.0)
-    W = F / safe_nrm[:, None]
+    W, nrm, alive = step_rows(map_rep, Z)
     Y = np.einsum("nij,nja->nia", map_rep.jacobian_rows(Z), X)
-    Y /= safe_nrm[:, None, None]
+    Y /= np.where(alive, nrm, 1.0)[:, None, None]
     # P_w Y, stably (see the module docstring)
     w = W[:, :, None]
     X_next = _cross(np.conj(w), _cross(Y, w))
     if not alive.all():
-        W = np.where(alive[:, None], W, Z)
         X_next = np.where(alive[:, None, None], X_next, X)
     return W, X_next, alive
 
@@ -424,14 +428,6 @@ def make_henon(a: complex, p_coeffs) -> BirationalPair:
         ind_bwd=(normalize([0, 1, 0]),),
         regular=True,
         meta={"family": "henon", "a": a, "p_coeffs": tuple(p_coeffs)},
-    )
-
-
-def _cremona_involution_components() -> tuple:
-    return (
-        HomogeneousPolynomial.from_dict(2, {(0, 1, 1): 1.0}),
-        HomogeneousPolynomial.from_dict(2, {(1, 0, 1): 1.0}),
-        HomogeneousPolynomial.from_dict(2, {(1, 1, 0): 1.0}),
     )
 
 

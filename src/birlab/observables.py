@@ -2,7 +2,8 @@
 
 Each observable is a bounded function of the canonical unit homogeneous
 representative, carries a smoothness tag, and a grid-estimated norm.  Norm
-estimates scale reported constants only; they never enter fitted rates.
+estimates scale reported constants only; they never enter fitted rates;
+the smoothness tag sets the exponent alpha of the proven rate.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidParam
-from .projective import canonicalize_rows
+from .projective import chart_disc, from_chart_rows
 
 NORM_GRID_SIDE = 256
 NORM_GRID_RADIUS = 2.0
@@ -95,24 +96,19 @@ def _make_constant(params):
     return fn
 
 
-def _norm_grid(chart: int = 2):
-    rng = np.random.default_rng([0x0B5, chart])
-    n = NORM_GRID_SIDE * NORM_GRID_SIDE
-    aff = NORM_GRID_RADIUS * np.sqrt(rng.uniform(size=(n, 2))) * np.exp(
-        2j * np.pi * rng.uniform(size=(n, 2))
-    )
-    return aff
-
-
-def _chart_eval(fn, aff, chart: int = 2):
-    Z = np.insert(aff, chart, 1.0, axis=1)
-    return fn(canonicalize_rows(Z))
+def smoothness_alpha(smoothness: str) -> float:
+    """Regularity exponent of a smoothness tag: C1 -> 1, C2 -> 2, Holder(a) -> a."""
+    if smoothness.startswith("Holder(") and smoothness.endswith(")"):
+        return float(smoothness[len("Holder(") : -1])
+    if smoothness in ("C1", "C2"):
+        return float(smoothness[1])
+    raise InvalidParam(f"unknown smoothness tag {smoothness!r}")
 
 
 def estimate_norm(fn, smoothness: str, chart: int = 2) -> float:
     """Grid estimate of the C^1/C^2/Holder norm by finite differences."""
-    aff = _norm_grid(chart)
-    base = _chart_eval(fn, aff, chart)
+    aff = chart_disc([0x0B5, chart], NORM_GRID_SIDE * NORM_GRID_SIDE, NORM_GRID_RADIUS)
+    base = fn(from_chart_rows(aff, chart))
     sup = float(np.max(np.abs(base)))
     directions = [
         np.array([1.0, 0.0]),
@@ -121,27 +117,27 @@ def estimate_norm(fn, smoothness: str, chart: int = 2) -> float:
         np.array([0.0, 1j]),
     ]
     if smoothness.startswith("Holder"):
-        alpha = float(smoothness[smoothness.index("(") + 1 : -1])
+        alpha = smoothness_alpha(smoothness)
         quotient = 0.0
         for scale in range(4, 11):
             h = 2.0**-scale
             for e in directions:
-                shifted = _chart_eval(fn, aff + h * e, chart)
+                shifted = fn(from_chart_rows(aff + h * e, chart))
                 quotient = max(quotient, float(np.max(np.abs(shifted - base))) / h**alpha)
         return sup + quotient
     h1 = 1e-3
     grad = 0.0
     for e in directions:
-        plus = _chart_eval(fn, aff + h1 * e, chart)
-        minus = _chart_eval(fn, aff - h1 * e, chart)
+        plus = fn(from_chart_rows(aff + h1 * e, chart))
+        minus = fn(from_chart_rows(aff - h1 * e, chart))
         grad = max(grad, float(np.max(np.abs(plus - minus))) / (2 * h1))
     total = sup + grad
     if smoothness == "C2":
         h2 = 1e-2
         hess = 0.0
         for e in directions:
-            plus = _chart_eval(fn, aff + h2 * e, chart)
-            minus = _chart_eval(fn, aff - h2 * e, chart)
+            plus = fn(from_chart_rows(aff + h2 * e, chart))
+            minus = fn(from_chart_rows(aff - h2 * e, chart))
             hess = max(hess, float(np.max(np.abs(plus - 2 * base + minus))) / h2**2)
         total += hess
     return total

@@ -11,7 +11,9 @@ The shift is calibrated once on a fixed per-chart point set so that
 v_n <= -e there, which makes w_n = -log(-v_n) <= -1 and keeps the cut-off
 chi_A = h(w_n / A) well defined.  Values that dive below -1e3 are mapped to
 a -inf sentinel instead of raising: potentials appear inside integrands
-where singular samples are legitimately discarded by cut-offs.
+where singular samples are legitimately discarded by cut-offs.  Each term
+is one checked map step (``maps.step_rows``): its ||F|| gives u1 and its
+image the next orbit point, so depth n evaluates F n times.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParam, NonConvergence, ShiftCalibrationError
-from .maps import BirationalPair, eval_rows_checked
-from .projective import ProjPoint, canonicalize_rows
+from .maps import BirationalPair, step_rows
+from .projective import ProjPoint, chart_disc, from_chart_rows
 
 SENTINEL_FLOOR = -1e3
 CALIBRATION_SIDE = 128
@@ -37,13 +39,17 @@ def smoothstep(x):
     return t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 
-def u1_rows(pair: BirationalPair, Z: np.ndarray) -> np.ndarray:
-    """One-step increment (1/d) log ||F(z)|| on unit rows; -inf sentinel."""
-    F = pair.fwd.eval_rows(Z)
-    nrm = np.linalg.norm(F, axis=-1)
+def _step(pair: BirationalPair, Z: np.ndarray):
+    """``step_rows`` of f, with the increment u1 (-inf sentinel) in place of ||F||."""
+    W, nrm, alive = step_rows(pair.fwd, Z)
     with np.errstate(divide="ignore"):
         val = np.log(nrm) / pair.d
-    return np.where(val < SENTINEL_FLOOR, -np.inf, val)
+    return W, np.where(val < SENTINEL_FLOOR, -np.inf, val), alive
+
+
+def u1_rows(pair: BirationalPair, Z: np.ndarray) -> np.ndarray:
+    """One-step increment (1/d) log ||F(z)|| on unit rows; -inf sentinel."""
+    return _step(pair, Z)[1]
 
 
 def u1(pair: BirationalPair, p: ProjPoint) -> float:
@@ -52,13 +58,8 @@ def u1(pair: BirationalPair, p: ProjPoint) -> float:
 
 def calibration_points(chart: int, k: int = 2) -> np.ndarray:
     """Fixed per-chart calibration point set (128^2 points, seeded)."""
-    rng = np.random.default_rng([0xCA11B, chart])
     n = CALIBRATION_SIDE * CALIBRATION_SIDE
-    aff = CALIBRATION_RADIUS * np.sqrt(rng.uniform(size=(n, k))) * np.exp(
-        2j * np.pi * rng.uniform(size=(n, k))
-    )
-    Z = np.insert(aff, chart, 1.0, axis=1)
-    return canonicalize_rows(Z)
+    return from_chart_rows(chart_disc([0xCA11B, chart], n, CALIBRATION_RADIUS, k), chart)
 
 
 def _unshifted_v_rows(pair: BirationalPair, Z: np.ndarray, depth: int) -> np.ndarray:
@@ -66,12 +67,11 @@ def _unshifted_v_rows(pair: BirationalPair, Z: np.ndarray, depth: int) -> np.nda
     cur = np.asarray(Z, dtype=complex)
     alive = np.ones(Z.shape[0], dtype=bool)
     for j in range(depth):
-        inc = u1_rows(pair, cur)
+        # one evaluation gives both the increment at f^j(z) and f^{j+1}(z)
+        cur, inc, ok = _step(pair, cur)
         alive &= np.isfinite(inc)
         total = np.where(alive, total + pair.d ** (-j) * np.where(alive, inc, 0.0), -np.inf)
-        if j < depth - 1:
-            cur, ok = eval_rows_checked(pair.fwd, cur)
-            alive &= ok
+        alive &= ok
     return total
 
 

@@ -28,12 +28,14 @@ def canonicalize_rows(Z: np.ndarray) -> np.ndarray:
     """
     Z = np.asarray(Z, dtype=complex)
     norms = np.linalg.norm(Z, axis=-1, keepdims=True)
-    Z = Z / norms
-    mods = np.abs(Z)
-    lead = np.argmax(mods > PHASE_FLOOR, axis=-1)
+    return fix_phase_rows(Z / norms)
+
+
+def fix_phase_rows(Z: np.ndarray) -> np.ndarray:
+    """Make the first coordinate of modulus > PHASE_FLOOR real positive."""
+    lead = np.argmax(np.abs(Z) > PHASE_FLOOR, axis=-1)
     lv = np.take_along_axis(Z, lead[..., None], axis=-1)
-    phase = lv / np.abs(lv)
-    return Z * np.conj(phase)
+    return Z * np.conj(lv / np.abs(lv))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,6 +123,19 @@ def to_chart(p: ProjPoint, chart: int) -> ChartCoords:
         raise ChartSingular(f"|coords[{chart}]| = {abs(pivot):.3e} below chart threshold")
     values = tuple(complex(coords[j] / pivot) for j in range(len(coords)) if j != chart)
     return ChartCoords(chart_index=chart, values=values)
+
+
+def chart_disc(seed, count: int, radius: float, k: int = 2) -> np.ndarray:
+    """``(count, k)`` affine values, each uniform on ``|v| <= radius``, seeded."""
+    rng = np.random.default_rng(seed)
+    return radius * np.sqrt(rng.uniform(size=(count, k))) * np.exp(
+        2j * np.pi * rng.uniform(size=(count, k))
+    )
+
+
+def from_chart_rows(values: np.ndarray, chart: int) -> np.ndarray:
+    """Canonical rows of the affine ``(N, k)`` ``values`` in ``chart``; inverts ``to_chart``."""
+    return canonicalize_rows(np.insert(np.asarray(values, dtype=complex), chart, 1.0, axis=-1))
 
 
 def tangent_frames(Z: np.ndarray) -> np.ndarray:

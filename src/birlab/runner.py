@@ -29,7 +29,7 @@ from .mixing import (
     decay_fit,
     theoretical_rate,
 )
-from .observables import observable_catalog
+from .observables import observable_catalog, smoothness_alpha
 from .potential import (
     QuasiPotentialSeries,
     chi_A_rows,
@@ -37,7 +37,7 @@ from .potential import (
     v_n_rows,
     w_n_rows,
 )
-from .projective import canonicalize_rows
+from .projective import from_chart_rows
 
 MEASURE_EXPERIMENTS = {"measure", "cn", "correlation"}
 MIN_MEASURE_COUNT = 1000
@@ -77,7 +77,6 @@ class ExperimentConfig(BaseModel):
     observables: List[ObservableConfig] = Field(default_factory=list)
     clip_quantile: float = 0.999
     output_dir: str = "runs"
-    alpha: float = 2.0
     slack_fraction: float = 0.2
     dump_points: bool = False
     # green-specific knobs
@@ -173,8 +172,14 @@ def compare_to_theory(
     }
 
 
-def _fit_summary(fit: Optional[DecayFit]) -> Optional[dict]:
-    return None if fit is None else asdict(fit)
+def _fit_and_verdict(cfg, pair, series, observables):
+    """Decay fit of ``series``, judged at the least alpha of ``observables``."""
+    try:
+        fit = decay_fit(series, seed=cfg.seed)
+    except InsufficientSignal as exc:  # a reportable outcome, not a failure
+        return None, {"error": type(exc).__name__}
+    alpha = min(smoothness_alpha(o.smoothness) for o in observables)
+    return asdict(fit), compare_to_theory(fit, pair, alpha, pair.regular, cfg.slack_fraction)
 
 
 def _observables(cfg: ExperimentConfig, how_many: int):
@@ -219,7 +224,7 @@ def _run_green(cfg, pair, out):
     ticks = np.linspace(-cfg.grid_range, cfg.grid_range, cfg.grid_n)
     xs, ys = np.meshgrid(ticks, ticks, indexing="ij")
     xs, ys = xs.ravel(), ys.ravel()
-    Z = canonicalize_rows(np.stack([xs, ys, np.ones_like(xs)], axis=1).astype(complex))
+    Z = from_chart_rows(np.stack([xs, ys], axis=1), 2)
     v = v_n_rows(series, Z)
     w = w_n_rows(series, Z)
     chi = chi_A_rows(series, Z, cfg.cutoff_A)
@@ -278,17 +283,13 @@ def _run_cn(cfg, pair, out):
         for n in range(n_max + 1)
     ]
     _write_csv(out / "cn.csv", ["lag", "value", "stderr", "dropped_fraction", "partial_sum"], rows)
-    try:
-        fit = decay_fit(seq, seed=cfg.seed)
-        verdict = compare_to_theory(fit, pair, cfg.alpha, pair.regular, cfg.slack_fraction)
-    except InsufficientSignal as exc:  # a reportable outcome, not a failure
-        fit, verdict = None, {"error": type(exc).__name__}
+    fit, verdict = _fit_and_verdict(cfg, pair, seq, [obs])
     _write_json(
         out / "cn.json",
         {
             "cloud": _cloud_summary(nu_plus),
             "observable": {"name": obs.name, "smoothness": obs.smoothness, "norm_estimate": obs.norm_estimate},
-            "fit": _fit_summary(fit),
+            "fit": fit,
             "theory": verdict,
         },
     )
@@ -305,11 +306,7 @@ def _run_correlation(cfg, pair, out):
         ["lag", "value", "stderr", "dropped_fraction"],
         series.entries,
     )
-    try:
-        fit = decay_fit(series, seed=cfg.seed)
-        verdict = compare_to_theory(fit, pair, cfg.alpha, pair.regular, cfg.slack_fraction)
-    except InsufficientSignal as exc:
-        fit, verdict = None, {"error": type(exc).__name__}
+    fit, verdict = _fit_and_verdict(cfg, pair, series, [phi, psi])
     _write_json(
         out / "correlation.json",
         {
@@ -318,7 +315,7 @@ def _run_correlation(cfg, pair, out):
                 {"name": o.name, "smoothness": o.smoothness, "norm_estimate": o.norm_estimate}
                 for o in (phi, psi)
             ],
-            "fit": _fit_summary(fit),
+            "fit": fit,
             "theory": verdict,
         },
     )

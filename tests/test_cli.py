@@ -9,7 +9,7 @@ import pytest
 from birlab import observables, runner
 from birlab.cli import main
 from birlab.errors import ConfigInvalid, DegenerateCloud, InsufficientSignal
-from birlab.mixing import DecayFit
+from birlab.mixing import DecayFit, theoretical_rate
 from birlab.maps import make_henon
 from birlab.observables import observable_catalog
 from birlab.runner import build_pair, compare_to_theory, load_config
@@ -288,3 +288,39 @@ def test_other_fit_errors_propagate(tmp_path, monkeypatch, experiment):
     monkeypatch.setattr(runner, "decay_fit", _raise(ZeroDivisionError("bug")))
     with pytest.raises(ZeroDivisionError):
         main([experiment, "--config", cfg])
+
+
+def _fixed_fit(*args, **kwargs):
+    return DecayFit(rate=0.4, intercept=0.0, r_squared=0.99, ci_low=0.35, ci_high=0.45, fit_window=(0, 3))
+
+
+@pytest.mark.parametrize(
+    "experiment, observables, alpha",
+    [
+        ("cn", [{"name": "holder-crease", "params": {"alpha": 0.5}}], 0.5),
+        ("cn", [{"name": "fs-coordinate", "params": {"index": 0}}], 2.0),
+        (
+            "correlation",
+            [
+                {"name": "fs-coordinate", "params": {"index": 0}},
+                {"name": "holder-crease", "params": {"alpha": 0.75}},
+            ],
+            0.75,
+        ),
+    ],
+)
+def test_theory_alpha_comes_from_the_observables(tmp_path, monkeypatch, experiment, observables, alpha):
+    monkeypatch.setattr(runner, "decay_fit", _fixed_fit)
+    cfg = _fit_config(tmp_path, experiment)
+    payload = json.loads(Path(cfg).read_text())
+    payload["observables"] = observables
+    assert main([experiment, "--config", _write_config(tmp_path / "cfg.json", payload)]) == 0
+    theory = json.loads((tmp_path / "out" / f"{experiment}.json").read_text())["theory"]
+    assert theory["alpha"] == alpha
+    assert theory["theoretical_rate"] == theoretical_rate(build_pair(load_config(payload).map), alpha, True)
+
+
+def test_config_alpha_field_is_gone(tmp_path):
+    payload = json.loads(Path(_fit_config(tmp_path, "cn")).read_text())
+    with pytest.raises(ConfigInvalid):
+        load_config({**payload, "alpha": 0.5})

@@ -3,7 +3,7 @@ import pytest
 
 from birlab.genericity import bd_partial_sums, indeterminacy_orbit
 from birlab.maps import make_cremona_composed, make_henon, random_unitary
-from birlab.projective import fs_distance, normalize
+from birlab.projective import fs_distance, min_set_distance, normalize
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +92,29 @@ def test_tail_bound_formula(composed):
     d_min = min(dist for _, dist, _ in rep.terms_fwd)
     expect = abs(np.log(d_min)) * composed.d ** (-N) / (1 - 1 / composed.d)
     assert abs(rep.tail_bound_fwd - expect) < 1e-15
+
+
+def test_orbits_dying_after_step_zero():
+    # each flagged source is alive at step 0 and lands on I(f) (fwd) or
+    # I(f^-1) (bwd) at the step recorded in flagged_at
+    pair = make_cremona_composed(np.array([[1, 0, 2], [1, 1, -2], [1, -1, 0]]))
+    fwd = indeterminacy_orbit(pair, 4, "fwd")
+    bwd = indeterminacy_orbit(pair, 4, "bwd")
+    assert fwd.flagged_at == [1, 2, None]
+    assert bwd.flagged_at == [1, 3, None]
+    ones = normalize([1, 1, 1])
+    for i, j in enumerate(fwd.flagged_at[:2]):
+        for step in fwd.steps[j:]:
+            assert fs_distance(step[i], ones) < 1e-15
+    for orbit, targets in ((fwd, pair.ind_fwd), (bwd, pair.ind_bwd)):
+        for i, j in enumerate(orbit.flagged_at):
+            if j is None:
+                continue
+            frozen = orbit.steps[j][i]
+            assert min_set_distance([frozen], targets) < 1e-15
+            # every later step repeats the frozen point exactly
+            for step in orbit.steps[j + 1 :]:
+                assert np.array_equal(step[i].coords, frozen.coords)
+    rep = bd_partial_sums(pair, 4)
+    assert rep.degenerate is True
+    assert rep.degenerate_index == 1

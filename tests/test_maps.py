@@ -26,10 +26,17 @@ from birlab.maps import (
     pullback_density,
     random_unitary,
     roundtrip_residuals,
+    step_rows,
     wedge_density,
     wedge_density_rows,
 )
-from birlab.projective import fs_distance, normalize, sample_fs_rows, tangent_frames
+from birlab.projective import (
+    fs_distance,
+    fs_distance_rows,
+    normalize,
+    sample_fs_rows,
+    tangent_frames,
+)
 
 
 @pytest.fixture(scope="module")
@@ -381,3 +388,40 @@ def test_compiled_jacobian_matches_partials_and_euler(map_rep, seed):
     assert np.max(np.abs(Jz - map_rep.degree * map_rep.eval_rows(Z))) <= 1e-12 * scale
     # a single point gives the same matrix as its row
     assert np.allclose(map_rep.jacobian_rows(Z[3]), J[3], rtol=0, atol=1e-14 * scale)
+
+
+def _random_pairs():
+    henon = st.builds(
+        make_henon,
+        COEFFS,
+        st.lists(COEFFS, min_size=3, max_size=4),
+    )
+    cremona = st.integers(0, 2**16).map(lambda seed: make_cremona_composed(random_unitary(seed)))
+    return st.one_of(henon, cremona)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pair=_random_pairs(),
+    direction=st.sampled_from(["fwd", "bwd"]),
+    seed=st.integers(0, 2**16),
+    theta=st.floats(0.0, 2 * np.pi),
+)
+def test_checked_step_is_projectively_invariant(pair, direction, seed, theta):
+    map_rep = pair.map_for(direction)
+    ind = pair.ind_fwd if direction == "fwd" else pair.ind_bwd
+    Z = np.concatenate([sample_fs_rows(32, seed), [q.coords for q in ind]])
+    lam = np.exp(1j * theta)
+    W, nrm, alive = step_rows(map_rep, Z)
+    W_lam, nrm_lam, alive_lam = step_rows(map_rep, lam * Z)
+    # the rows on the indeterminacy set, and only they, are dead
+    assert alive[:32].all() and not alive[32:].any()
+    assert np.array_equal(alive_lam, alive)
+    # lam z and z are one point of P^2, and so are their images
+    assert np.all(fs_distance_rows(W[alive], W_lam[alive]) <= 1e-12)
+    assert np.allclose(nrm_lam[alive], nrm[alive], rtol=1e-12, atol=0)
+    assert np.allclose(np.linalg.norm(W[alive], axis=-1), 1.0, rtol=0, atol=1e-12)
+    # dead rows come back bit for bit
+    assert np.array_equal(W[~alive], Z[~alive])
+    assert np.array_equal(W_lam[~alive], (lam * Z)[~alive])
+    assert np.array_equal(eval_rows_checked(map_rep, Z)[0], W)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from birlab.errors import InvalidParam
-from birlab.observables import observable_catalog
+from birlab.observables import observable_catalog, smoothness_alpha
 from birlab.projective import canonicalize_rows, sample_fs_rows
 
 
@@ -84,3 +84,12 @@ def test_norm_estimate_at_least_sup():
         obs = observable_catalog(name, params)
         Z = sample_fs_rows(20000, 5)
         assert obs.norm_estimate >= np.max(np.abs(obs(Z))) - 1e-9
+
+
+def test_smoothness_alpha():
+    assert smoothness_alpha("C1") == 1.0
+    assert smoothness_alpha("C2") == 2.0
+    assert smoothness_alpha("Holder(0.25)") == 0.25
+    for tag in ("C3", "Holder"):
+        with pytest.raises(InvalidParam):
+            smoothness_alpha(tag)

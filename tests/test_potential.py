@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from birlab.errors import InvalidParam, NonConvergence, ShiftCalibrationError
-from birlab.maps import make_henon
+from birlab.maps import RationalMapRep, make_henon
 from birlab.potential import (
     QuasiPotentialSeries,
     calibration_points,
@@ -84,6 +84,24 @@ def test_v_n_telescoping(series, henon):
         finite = np.isfinite(lhs) & np.isfinite(rhs)
         assert finite.mean() > 0.99
         assert np.max(np.abs(lhs[finite] - rhs[finite])) < 1e-12
+
+
+def test_quasi_potential_evaluates_f_once_per_step(henon, monkeypatch):
+    rows = []
+    eval_rows = RationalMapRep.eval_rows
+
+    def counted(self, Z):
+        rows.append(len(Z))
+        return eval_rows(self, Z)
+
+    series = QuasiPotentialSeries(pair=henon, n=5, shift=0.0)
+    Z = sample_fs_rows(10, 2)
+    expect = [v_n_rows(series, Z, depth) for depth in range(6)]
+    monkeypatch.setattr(RationalMapRep, "eval_rows", counted)
+    for depth in range(6):
+        rows.clear()
+        assert np.array_equal(v_n_rows(series, Z, depth), expect[depth])
+        assert rows == [10] * depth
 
 
 def test_v_n_log_singularity_bounded_along_ray(series, henon):

@@ -7,6 +7,7 @@ from birlab.projective import (
     canonicalize_rows,
     fs_distance,
     fs_distance_rows,
+    from_chart_rows,
     min_set_distance,
     normalize,
     sample_fs,
@@ -156,3 +157,12 @@ def test_tangent_frames_orthonormal():
     assert np.max(np.abs(G - eye)) < 1e-10
     inner = np.einsum("ni,nik->nk", np.conj(Z), B)
     assert np.max(np.abs(inner)) < 1e-10
+
+
+def test_from_chart_rows_inverts_to_chart():
+    Z = sample_fs_rows(50, 8)
+    for chart in range(3):
+        values = np.array([to_chart(ProjPoint(z), chart).values for z in Z])
+        back = from_chart_rows(values, chart)
+        assert np.max(fs_distance_rows(back, Z)) < 1e-12
+        assert np.allclose(np.linalg.norm(back, axis=-1), 1.0)
