@@ -40,9 +40,12 @@ def fix_phase_rows(Z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ProjPoint:
-    """A point of P^k as a canonical unit representative."""
+    """A point of P^k as a canonical unit representative; ``coords`` is read-only."""
 
     coords: np.ndarray
+
+    def __post_init__(self):
+        self.coords.setflags(write=False)
 
     @property
     def k(self) -> int:
@@ -68,9 +71,7 @@ def normalize(raw) -> ProjPoint:
         raise AllZero("need at least two homogeneous coordinates")
     if np.max(np.abs(arr)) <= 1e-300:
         raise AllZero("all homogeneous coordinates are numerically zero")
-    out = canonicalize_rows(arr[None, :])[0]
-    out.setflags(write=False)
-    return ProjPoint(out)
+    return ProjPoint(canonicalize_rows(arr[None, :])[0])
 
 
 def fs_distance(p: ProjPoint, q: ProjPoint) -> float:

@@ -13,6 +13,7 @@ from birlab.errors import (
 from birlab.maps import (
     FsForm,
     HomogeneousPolynomial,
+    differential_rows,
     eval_point,
     eval_rows_checked,
     fs_pullback_form,
@@ -425,3 +426,50 @@ def test_checked_step_is_projectively_invariant(pair, direction, seed, theta):
     assert np.array_equal(W[~alive], Z[~alive])
     assert np.array_equal(W_lam[~alive], (lam * Z)[~alive])
     assert np.array_equal(eval_rows_checked(map_rep, Z)[0], W)
+
+
+def _psd_pair(seed, scale_a, scale_b):
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(2, 64, 2, 2)) + 1j * rng.normal(size=(2, 64, 2, 2))
+    A, B = (np.einsum("nca,ncb->nab", np.conj(g), g) for g in G)
+    return scale_a * A, scale_b * B
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    scale_a=st.floats(1e-100, 1e100),
+    scale_b=st.floats(1e-100, 1e100),
+)
+def test_wedge_density_does_not_depend_on_the_frame(seed, scale_a, scale_b):
+    A, B = _psd_pair(seed, scale_a, scale_b)
+    U = random_unitary(seed + 1, 2)
+    Ut = np.conj(U).T
+    ref = wedge_density_rows(A, B)
+    rotated = wedge_density_rows(Ut @ A @ U, Ut @ B @ U)
+    # 0 <= density <= tr A tr B / 2 on PSD pairs, so tr A tr B is its scale
+    scale = np.real(np.trace(A, axis1=1, axis2=2) * np.trace(B, axis1=1, axis2=2))
+    assert np.all(np.abs(rotated - ref) <= 1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pair=_random_pairs(),
+    direction=st.sampled_from(["fwd", "bwd"]),
+    seed=st.integers(0, 2**16),
+)
+def test_pushed_frame_gram_matrix_follows_the_frame(pair, direction, seed):
+    # pushing X U in place of X gives X'U: the Gram matrix becomes U^dag H U
+    map_rep = pair.map_for(direction)
+    Z = sample_fs_rows(32, seed)
+    U = random_unitary(seed, 2)
+    X = tangent_frames(Z)
+    _, X1, alive = differential_rows(map_rep, Z, X)
+    _, X1_U, alive_U = differential_rows(map_rep, Z, X @ U)
+    assert alive.all() and alive_U.all()
+    H = np.einsum("nca,ncb->nab", np.conj(X1), X1)
+    H_U = np.einsum("nca,ncb->nab", np.conj(X1_U), X1_U)
+    scale = np.real(np.trace(H, axis1=1, axis2=2))[:, None, None]
+    assert np.all(np.abs(H_U - np.conj(U).T @ H @ U) <= 1e-12 * scale)
+    wedge = wedge_density_rows(H, H)
+    assert np.all(np.abs(wedge_density_rows(H_U, H_U) - wedge) <= 1e-12 * scale[:, 0, 0] ** 2)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birlab.errors import InvalidParam, NonConvergence, ShiftCalibrationError
 from birlab.maps import RationalMapRep, make_henon
@@ -211,3 +213,206 @@ def test_green_nonnegative_random(henon):
 def test_green_nonconvergence(henon):
     with pytest.raises(NonConvergence):
         green_plus_henon(henon, (1e200, 1e150), max_iter=1, R_escape=10)
+
+
+def _green_reference(pair, p_affine, max_iter=200, R_escape=100.0):
+    """The escape loop of ``green_plus_henon`` as it ran on complex values only
+    (one nested Horner call and one ``max`` per step), kept as the bit-level oracle."""
+    if pair.meta.get("family") != "henon":
+        raise InvalidParam("escape-rate Green function requires a Henon pair")
+    if max_iter < 1 or R_escape < 10:
+        raise InvalidParam("need max_iter >= 1 and R_escape >= 10")
+    a = pair.meta["a"]
+    coeffs = pair.meta["p_coeffs"]
+    d = pair.d
+    lc = coeffs[-1]
+    R0 = (sum(abs(c) for c in coeffs[:-1]) + abs(a) + 2.0) / abs(lc)
+    R = max(R_escape, R0)
+
+    def p_of(y):
+        acc = 0.0 + 0.0j
+        for c in reversed(coeffs):
+            acc = acc * y + c
+        return acc
+
+    x, y = complex(p_affine[0]), complex(p_affine[1])
+    for n in range(max_iter + 1):
+        ay, ax = abs(y), abs(x)
+        if ay >= R and ay >= ax:
+            break
+        if max(ax, ay) > 1e120:
+            raise NonConvergence("orbit grew without meeting the escape criterion")
+        x, y = y, p_of(y) - a * x
+    else:
+        if max(abs(x), abs(y)) <= R_escape:
+            return 0.0
+        raise NonConvergence("orbit neither escaped nor stayed bounded; raise max_iter")
+
+    G = math.log(abs(y)) / d**n
+    t, w = x / y, 1.0 / y
+    scale = 1.0 / d ** (n + 1)
+    for _ in range(200):
+        rho = 0.0 + 0.0j
+        for i, c in enumerate(coeffs):
+            rho += c * w ** (d - i)
+        rho -= a * t * w ** (d - 1)
+        corr = math.log(abs(rho))
+        G += scale * corr
+        if abs(w) < 1e-300 or scale * abs(corr) < 1e-16:
+            break
+        t, w = w ** (d - 1) / rho, w**d / rho
+        scale /= d
+    return max(G, 0.0)
+
+
+GREEN_MAPS = {
+    "classic": lambda: make_henon(0.3, [-1.2, 0.0, 1.0]),
+    "cubic": lambda: make_henon(0.4, [0.1, -1.0, 0.0, 1.0]),
+    "slow": lambda: make_henon(0.05, [0.0, 0.0, 1.0]),
+    "complex_a": lambda: make_henon(0.3 + 0.1j, [-1.2, 0.0, 1.0]),
+}
+GREEN_SETTINGS = [(200, 100.0), (1, 10.0), (400, 1e3)]
+SPECIAL_POINTS = [
+    (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, math.inf), (-math.inf, 1.0),
+    (0.0, -math.inf), (math.inf, math.inf), (math.nan, math.inf), (math.inf, math.nan),
+    (1e200, 1e150), (1e130, 0.0), (1e120, 0.0), (0.0, 1e120), (-1e120, 1e-3),
+    (complex(0.0, math.nan), 1.0), (1.0, complex(math.inf, 0.0)), (0.0, complex(0.0, -0.0)),
+]
+
+
+def _pointwise_grid(seed=7, side=128, half=2.0):
+    """The jittered grid of the ``pointwise`` benchmark workload."""
+    rng = np.random.default_rng([0x9E7, seed])
+    ticks = np.linspace(-half, half, side)
+    h = ticks[1] - ticks[0]
+    xs, ys = (t.ravel() for t in np.meshgrid(ticks, ticks, indexing="ij"))
+    jitter = rng.uniform(-h / 2, h / 2, size=(2, xs.size))
+    return np.clip(np.stack([xs, ys]) + jitter, -half, half).T.tolist()
+
+
+def _f_image(pair, x, y):
+    a, coeffs = pair.meta["a"], pair.meta["p_coeffs"]
+    return y, sum(c * y**i for i, c in enumerate(coeffs)) - a * x
+
+
+def _green_outcome(fn, pair, pt, max_iter, R_escape):
+    try:
+        return fn(pair, pt, max_iter, R_escape)
+    except Exception as exc:  # the oracle compares the exception type
+        return type(exc)
+
+
+def _assert_green_bits(pair, points, max_iter=200, R_escape=100.0):
+    """green_plus_henon equals the reference bit for bit (sign of zero and
+    NaN included) or raises the same exception type; returns the values."""
+    out = []
+    for pt in points:
+        got = _green_outcome(green_plus_henon, pair, pt, max_iter, R_escape)
+        ref = _green_outcome(_green_reference, pair, pt, max_iter, R_escape)
+        if isinstance(ref, float) and isinstance(got, float):
+            same = (math.isnan(ref) and math.isnan(got)) or (
+                ref == got and math.copysign(1.0, ref) == math.copysign(1.0, got)
+            )
+        else:
+            same = got is ref
+        assert same, (pt, max_iter, R_escape, got, ref)
+        out.append(got)
+    return out
+
+
+def test_green_bits_on_the_pointwise_grid_and_its_images(henon):
+    grid = _pointwise_grid()
+    vals = _assert_green_bits(henon, grid)
+    escaping = [p for p, g in zip(grid, vals) if g > 0.0]
+    assert 1000 < len(escaping) < len(grid) - 1000
+    _assert_green_bits(henon, [_f_image(henon, x, y) for x, y in escaping])
+
+
+def test_green_bits_on_complex_points(henon):
+    rng = np.random.default_rng(77)
+    pts = 4.0 * (rng.uniform(size=(2000, 2)) - 0.5) + 1j * 4.0 * (rng.uniform(size=(2000, 2)) - 0.5)
+    _assert_green_bits(henon, pts.tolist())
+
+
+@pytest.mark.parametrize("name", sorted(GREEN_MAPS))
+@pytest.mark.parametrize("max_iter, R_escape", GREEN_SETTINGS)
+def test_green_bits_across_maps_and_settings(name, max_iter, R_escape):
+    pair = GREEN_MAPS[name]()
+    grid = _pointwise_grid()[::16]
+    rng = np.random.default_rng(5)
+    cplx = (4.0 * (rng.uniform(size=(250, 2)) - 0.5) + 4j * (rng.uniform(size=(250, 2)) - 0.5)).tolist()
+    # a 1e-300 imaginary part must take the complex path and still agree
+    tiny = [(x + 1e-300j, y) for x, y in grid[::4]] + [(x, y + 1e-300j) for x, y in grid[1::4]]
+    pts = grid + [_f_image(pair, x, y) for x, y in grid[::2]] + cplx + tiny + SPECIAL_POINTS
+    _assert_green_bits(pair, pts, max_iter, R_escape)
+
+
+def test_green_bits_where_a_real_orbit_overflows():
+    # p = y^4 overflows before its last Horner step: on complex values the
+    # escaped point carries a NaN imaginary part, and G+ is NaN
+    quartic = make_henon(0.5, [0.0, 0.0, 0.0, 0.0, 1.0])
+    pts = [(1e110, 1e105), (-1e110, 3e104), (1e110, 1e60), (2.0, 1e80)] + SPECIAL_POINTS
+    vals = _assert_green_bits(quartic, pts)
+    assert math.isnan(vals[0])
+
+
+def test_green_escape_loop_number_field(henon, monkeypatch):
+    import birlab.potential as potential
+
+    seen = []
+    escape = potential._escape
+
+    def recording(x, y, *args):
+        seen.append((type(x), type(y)))
+        return escape(x, y, *args)
+
+    monkeypatch.setattr(potential, "_escape", recording)
+    cases = [
+        (henon, (0.5, -0.25), (float, float)),
+        (henon, (0.5 + 0j, np.float64(-0.25)), (float, float)),
+        (henon, (0.5 + 1e-300j, -0.25), (complex, complex)),
+        (henon, (0.5, -0.25 + 1e-300j), (complex, complex)),
+        (GREEN_MAPS["complex_a"](), (0.5, -0.25), (complex, complex)),
+        (make_henon(0.3, [-1.2, 1e-300j, 1.0]), (0.5, -0.25), (complex, complex)),
+    ]
+    for pair, pt, kinds in cases:
+        seen.clear()
+        green_plus_henon(pair, pt)
+        assert seen == [kinds], pt
+
+
+@st.composite
+def _henon_and_points(draw):
+    """A Henon map of degree 2-3 and up to 8 points with coordinates of
+    modulus <= 4, each over the reals or over C."""
+
+    def numbers(real, bound):
+        if real:
+            return st.floats(-bound, bound)
+        return st.complex_numbers(max_magnitude=bound, allow_nan=False, allow_infinity=False)
+
+    real_map = draw(st.booleans())
+    d = draw(st.integers(2, 3))
+    unit = st.sampled_from([1.0, -1.0] if real_map else [1.0, -1.0, 1j, -1j, (1 + 1j) / math.sqrt(2)])
+    lower = draw(st.lists(numbers(real_map, 2.0), min_size=d, max_size=d))
+    lead = draw(st.floats(0.5, 2.0)) * draw(unit)
+    a = draw(st.floats(0.05, 2.0)) * draw(unit)
+    pair = make_henon(a, lower + [lead])
+    real_points = draw(st.booleans())
+    pts = draw(st.lists(st.tuples(numbers(real_points, 4.0), numbers(real_points, 4.0)), min_size=1, max_size=8))
+    return pair, pts
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_henon_and_points())
+def test_green_functional_equation_random_maps(case):
+    pair, pts = case
+    for x, y in pts:
+        try:
+            g = green_plus_henon(pair, (x, y))
+            gf = green_plus_henon(pair, _f_image(pair, x, y))
+        except NonConvergence:
+            continue
+        assert g >= 0.0 and gf >= 0.0
+        if g > 0.0:
+            assert abs(gf - pair.d * g) <= 1e-6, (x, y, g, gf)

@@ -166,3 +166,26 @@ def test_from_chart_rows_inverts_to_chart():
         back = from_chart_rows(values, chart)
         assert np.max(fs_distance_rows(back, Z)) < 1e-12
         assert np.allclose(np.linalg.norm(back, axis=-1), 1.0)
+
+
+def test_proj_point_coordinates_are_read_only():
+    from birlab.genericity import indeterminacy_orbit
+    from birlab.maps import eval_point, iterate, make_cremona_composed, make_henon, random_unitary
+
+    henon = make_henon(0.3, [-1.2, 0.0, 1.0])
+    p = normalize([0.3, -0.1, 1.0])
+    orbit = indeterminacy_orbit(make_cremona_composed(random_unitary(7)), 3)
+    points = (
+        [p, eval_point(henon.fwd, p)]
+        + iterate(henon, p, 3)
+        + sample_fs(4, 9)
+        + [q for step in orbit.steps for q in step]
+    )
+    for q in points:
+        with pytest.raises(ValueError):
+            q.coords[0] = 0.0
+    # a row given to ProjPoint is frozen as a view; its array stays writable
+    Z = sample_fs_rows(3, 1)
+    q = ProjPoint(Z[0])
+    Z[0, 0] = 1.0
+    assert q.coords[0] == 1.0
