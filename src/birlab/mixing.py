@@ -26,6 +26,7 @@ from .measure import WeightedCloud, effective_sample_size
 
 N_BOOT = 200
 N_BLOCKS = 1000
+N_FIT_BOOT = 1000
 MIN_ESS = 100.0
 NOISE_FLOOR_SIGMAS = 3.0
 
@@ -98,50 +99,39 @@ def _boot_rng(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng([0xB007, seed & 0xFFFFFFFF, tag])
 
 
-def _weighted_mean_boot(w, vals, alive, rng):
-    """Self-normalized weighted mean with block-bootstrap stderr."""
-    wa = np.where(alive, w, 0.0)
+def _block_boot(wa, cols, stat, rng):
+    """Value and block-bootstrap stderr of ``stat(Sw, *S)``.
+
+    ``wa`` holds the weights with dropped rows set to 0 and ``cols`` the
+    weighted columns.  The value takes Sw and S as sums over every row; each
+    of the N_BOOT replicates takes them over a draw of contiguous blocks.
+    """
     total = wa.sum()
     if total <= 0:
         raise DegenerateCloud("all samples dropped at this lag")
-    wv = wa * vals
-    mean = float(np.sum(wv) / total)
-    edges = _block_edges(len(w))
-    Sw = np.add.reduceat(wa, edges)
-    Sv = np.add.reduceat(wv, edges)
+    value = float(stat(total, *(np.sum(c) for c in cols)))
+    edges = _block_edges(len(wa))
     choice = rng.integers(0, len(edges), size=(N_BOOT, len(edges)))
-    rep = Sv[choice].sum(axis=1) / np.maximum(Sw[choice].sum(axis=1), 1e-300)
-    return mean, float(rep.std(ddof=1))
+    Tw = np.maximum(np.add.reduceat(wa, edges)[choice].sum(axis=1), 1e-300)
+    rep = stat(Tw, *(np.add.reduceat(c, edges)[choice].sum(axis=1) for c in cols))
+    return value, float(rep.std(ddof=1))
+
+
+def _weighted_mean_boot(w, vals, alive, rng):
+    """Self-normalized weighted mean with block-bootstrap stderr."""
+    wa = np.where(alive, w, 0.0)
+    return _block_boot(wa, [wa * vals], lambda Sw, Sv: Sv / Sw, rng)
 
 
 def _weighted_cov_boot(w, a, b, alive, rng):
     """Weighted covariance E[ab] - E[a]E[b] with block-bootstrap stderr."""
     wa = np.where(alive, w, 0.0)
-    total = wa.sum()
-    if total <= 0:
-        raise DegenerateCloud("all samples dropped at this lag")
     # shift by a reference sample so constant inputs give an exact zero;
     # the covariance is shift-invariant in exact arithmetic
     ref = int(np.argmax(alive))
-    a = a - a[ref]
-    b = b - b[ref]
-    wa_a, wa_b = wa * a, wa * b
-    wa_ab = wa_a * b
-    Ea = np.sum(wa_a) / total
-    Eb = np.sum(wa_b) / total
-    Eab = np.sum(wa_ab) / total
-    value = float(Eab - Ea * Eb)
-    edges = _block_edges(len(w))
-    Sw = np.add.reduceat(wa, edges)
-    Sa = np.add.reduceat(wa_a, edges)
-    Sb = np.add.reduceat(wa_b, edges)
-    Sab = np.add.reduceat(wa_ab, edges)
-    choice = rng.integers(0, len(edges), size=(N_BOOT, len(edges)))
-    Tw = np.maximum(Sw[choice].sum(axis=1), 1e-300)
-    rep = Sab[choice].sum(axis=1) / Tw - (Sa[choice].sum(axis=1) / Tw) * (
-        Sb[choice].sum(axis=1) / Tw
-    )
-    return value, float(rep.std(ddof=1))
+    wa_a, b = wa * (a - a[ref]), b - b[ref]
+    cols = [wa_a, wa * b, wa_a * b]
+    return _block_boot(wa, cols, lambda Sw, Sa, Sb, Sab: Sab / Sw - (Sa / Sw) * (Sb / Sw), rng)
 
 
 def _require_healthy(cloud: WeightedCloud):
@@ -198,6 +188,8 @@ def correlation_series(
     pair: BirationalPair, phi, psi, N_max: int, mu_cloud: WeightedCloud
 ) -> CorrelationSeries:
     """Correlation at every lag 0..N_max, reusing incremental orbits."""
+    if N_max < 0:
+        raise InvalidParam("N_max must be >= 0")
     _require_healthy(mu_cloud)
     table = OrbitTable(pair, mu_cloud, "fwd")
     b = psi.fn(mu_cloud.points)
@@ -284,12 +276,13 @@ def _as_triples(series):
     return [tuple(entry)[:3] for entry in series]
 
 
-def decay_fit(series, n_boot: int = 1000, seed: int = 0) -> DecayFit:
+def decay_fit(series, seed: int = 0) -> DecayFit:
     """Weighted least squares of log|value| against lag.
 
     Entries below the noise floor (|value| < 3 stderr) or exactly zero are
     excluded; the fit window is the contiguous run of usable lags starting
-    at the first usable one.
+    at the first usable one.  The rate CI comes from N_FIT_BOOT resamples
+    of the fitted lags.
     """
     triples = _as_triples(series)
     usable = []
@@ -332,7 +325,7 @@ def decay_fit(series, n_boot: int = 1000, seed: int = 0) -> DecayFit:
 
     rng = np.random.default_rng([0xF17, seed])
     rates = []
-    for _ in range(n_boot):
+    for _ in range(N_FIT_BOOT):
         idx = rng.integers(0, len(lags), size=len(lags))
         if len(np.unique(lags[idx])) < 2:
             continue

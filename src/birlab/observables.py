@@ -8,6 +8,7 @@ the smoothness tag sets the exponent alpha of the proven rate.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -18,6 +19,7 @@ from .projective import chart_disc, from_chart_rows
 
 NORM_GRID_SIDE = 256
 NORM_GRID_RADIUS = 2.0
+NORM_CHART = 2
 
 
 @dataclass(frozen=True)
@@ -40,11 +42,8 @@ def _bump_profile(r2: np.ndarray) -> np.ndarray:
     return out
 
 
-def _make_affine_bump(params):
-    cx = complex(params.get("cx", 0.0))
-    cy = complex(params.get("cy", 0.0))
-    radius = float(params.get("radius", 2.0))
-    chart = int(params.get("chart", 2))
+def _make_affine_bump(cx=0.0, cy=0.0, radius=2.0, chart=2):
+    cx, cy, radius, chart = complex(cx), complex(cy), float(radius), int(chart)
     if radius <= 0:
         raise InvalidParam("bump radius must be positive")
     others = [j for j in range(3) if j != chart]
@@ -63,8 +62,8 @@ def _make_affine_bump(params):
     return fn
 
 
-def _make_fs_coordinate(params):
-    index = int(params.get("index", 0))
+def _make_fs_coordinate(index=0):
+    index = int(index)
     if not 0 <= index <= 2:
         raise InvalidParam("coordinate index must lie in [0, 2]")
 
@@ -74,10 +73,8 @@ def _make_fs_coordinate(params):
     return fn
 
 
-def _make_holder_crease(params):
-    alpha = float(params.get("alpha", 0.5))
-    index = int(params.get("index", 0))
-    level = float(params.get("level", 0.4))
+def _make_holder_crease(alpha=0.5, index=0, level=0.4):
+    alpha, index, level = float(alpha), int(index), float(level)
     if not 0 < alpha <= 1:
         raise InvalidParam("Holder exponent must lie in (0, 1]")
 
@@ -87,8 +84,8 @@ def _make_holder_crease(params):
     return fn
 
 
-def _make_constant(params):
-    value = float(params.get("value", 1.0))
+def _make_constant(value=1.0):
+    value = float(value)
 
     def fn(Z):
         return np.full(Z.shape[:-1], value)
@@ -105,10 +102,11 @@ def smoothness_alpha(smoothness: str) -> float:
     raise InvalidParam(f"unknown smoothness tag {smoothness!r}")
 
 
-def estimate_norm(fn, smoothness: str, chart: int = 2) -> float:
-    """Grid estimate of the C^1/C^2/Holder norm by finite differences."""
-    aff = chart_disc([0x0B5, chart], NORM_GRID_SIDE * NORM_GRID_SIDE, NORM_GRID_RADIUS)
-    base = fn(from_chart_rows(aff, chart))
+def estimate_norm(fn, smoothness: str) -> float:
+    """Grid estimate of the C^1/C^2/Holder norm by finite differences,
+    on a seeded disc of chart NORM_CHART."""
+    aff = chart_disc([0x0B5, NORM_CHART], NORM_GRID_SIDE * NORM_GRID_SIDE, NORM_GRID_RADIUS)
+    base = fn(from_chart_rows(aff, NORM_CHART))
     sup = float(np.max(np.abs(base)))
     directions = [
         np.array([1.0, 0.0]),
@@ -122,22 +120,22 @@ def estimate_norm(fn, smoothness: str, chart: int = 2) -> float:
         for scale in range(4, 11):
             h = 2.0**-scale
             for e in directions:
-                shifted = fn(from_chart_rows(aff + h * e, chart))
+                shifted = fn(from_chart_rows(aff + h * e, NORM_CHART))
                 quotient = max(quotient, float(np.max(np.abs(shifted - base))) / h**alpha)
         return sup + quotient
     h1 = 1e-3
     grad = 0.0
     for e in directions:
-        plus = fn(from_chart_rows(aff + h1 * e, chart))
-        minus = fn(from_chart_rows(aff - h1 * e, chart))
+        plus = fn(from_chart_rows(aff + h1 * e, NORM_CHART))
+        minus = fn(from_chart_rows(aff - h1 * e, NORM_CHART))
         grad = max(grad, float(np.max(np.abs(plus - minus))) / (2 * h1))
     total = sup + grad
     if smoothness == "C2":
         h2 = 1e-2
         hess = 0.0
         for e in directions:
-            plus = fn(from_chart_rows(aff + h2 * e, chart))
-            minus = fn(from_chart_rows(aff - h2 * e, chart))
+            plus = fn(from_chart_rows(aff + h2 * e, NORM_CHART))
+            minus = fn(from_chart_rows(aff - h2 * e, NORM_CHART))
             hess = max(hess, float(np.max(np.abs(plus - 2 * base + minus))) / h2**2)
         total += hess
     return total
@@ -152,12 +150,19 @@ _BUILDERS = {
 
 
 def observable_catalog(name: str, params: dict = None) -> Observable:
-    """Built-in observables: constant, affine-bump, fs-coordinate, holder-crease."""
+    """Built-in observables: constant, affine-bump, fs-coordinate, holder-crease.
+
+    ``params`` may name only the keyword parameters of the observable's builder.
+    """
     params = dict(params or {})
     if name not in _BUILDERS:
         raise InvalidParam(f"unknown observable {name!r}")
     builder, smoothness = _BUILDERS[name]
-    fn = builder(params)
+    known = inspect.signature(builder).parameters
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise InvalidParam(f"unknown {name} parameters {unknown}; known: {sorted(known)}")
+    fn = builder(**params)
     if smoothness is None:
         smoothness = f"Holder({float(params.get('alpha', 0.5))})"
     if name == "constant":

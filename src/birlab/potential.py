@@ -18,6 +18,7 @@ image the next orbit point, so depth n evaluates F n times.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -184,11 +185,10 @@ def green_plus_henon(
     with zero imaginary part, complex products and sums compute the float
     result for the real part (``(p+0j)(q+0j)`` has real part ``pq - 0*0``)
     and ``abs(r+0j) = |r|``, so every escape decision, step n and error is
-    the same, and the escaped point differs at most in the sign of a zero.
-    The one exception is an orbit that overflows: complex arithmetic makes
-    inf*0 = NaN imaginary parts that the tail would see, so a real orbit
-    that escapes to a non-finite point is run again on complex values.
-    The renormalized tail always runs on complex values.
+    the same, and a finite escaped point differs at most in the sign of a
+    zero.  An orbit that escapes to a non-finite point (an infinite
+    coordinate, or a p(y) that overflowed) raises NonConvergence in either
+    number field.  The renormalized tail always runs on complex values.
     """
     if pair.meta.get("family") != "henon":
         raise InvalidParam("escape-rate Green function requires a Henon pair")
@@ -204,17 +204,17 @@ def green_plus_henon(
 
     x, y = complex(p_affine[0]), complex(p_affine[1])
     rev = tuple(reversed(coeffs))
-    orbit = None
     if all(v.imag == 0 for v in (x, y, a, *rev)):
-        n, fx, fy = _escape(x.real, y.real, a.real, tuple(c.real for c in rev), R, max_iter)
-        # an orbit that overflowed is run again on complex values (see above)
-        if n is None or math.isfinite(fy):
-            orbit = n, complex(fx), complex(fy)
-    n, x, y = orbit or _escape(x, y, a, rev, R, max_iter)
+        n, x, y = _escape(x.real, y.real, a.real, tuple(c.real for c in rev), R, max_iter)
+        x, y = complex(x), complex(y)
+    else:
+        n, x, y = _escape(x, y, a, rev, R, max_iter)
     if n is None:
         if max(abs(x), abs(y)) <= R_escape:
             return 0.0
         raise NonConvergence("orbit neither escaped nor stayed bounded; raise max_iter")
+    if not (cmath.isfinite(x) and cmath.isfinite(y)):
+        raise NonConvergence("orbit escaped to a non-finite point")
 
     # renormalized escape tail: t = x/y, w = 1/y
     G = math.log(abs(y)) / d**n

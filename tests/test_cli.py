@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -324,3 +325,79 @@ def test_config_alpha_field_is_gone(tmp_path):
     payload = json.loads(Path(_fit_config(tmp_path, "cn")).read_text())
     with pytest.raises(ConfigInvalid):
         load_config({**payload, "alpha": 0.5})
+
+
+@pytest.mark.parametrize(
+    "config, field, value",
+    [
+        ("measure_henon", "dump_points", True),
+        ("measure_henon", "clip_quantile", 0.999),
+        ("cn_henon", "slack_fraction", 0.2),
+        ("green_henon", "green_max_iter", 400),
+        ("green_henon", "green_R_escape", 100.0),
+    ],
+)
+def test_removed_config_fields_are_rejected(tmp_path, config, field, value):
+    payload = json.loads((CONFIGS / f"{config}.json").read_text())
+    payload[field] = value
+    with pytest.raises(ConfigInvalid, match=field):
+        load_config(payload)
+    cfg = _write_config(tmp_path / "cfg.json", {**payload, "output_dir": str(tmp_path / "out")})
+    assert main([payload["experiment"], "--config", cfg]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config, field, value",
+    [
+        ("measure_henon", "depth_m", -1),
+        ("cn_henon", "n_max", -1),
+        ("correlation_henon", "N_max", -1),
+        ("genericity_henon", "N_max", -1),
+        ("green_henon", "depth_n", -1),
+        ("green_henon", "grid_n", 0),
+        ("green_henon", "grid_n", -1),
+        ("green_henon", "cutoff_A", 0.0),
+        ("green_henon", "grid_range", 0.0),
+        ("green_henon", "grid_range", -2.0),
+    ],
+)
+def test_out_of_range_config_values_are_rejected(tmp_path, config, field, value):
+    payload = json.loads((CONFIGS / f"{config}.json").read_text())
+    payload[field] = value
+    with pytest.raises(ConfigInvalid, match=field):
+        load_config(payload)
+    cfg = _write_config(tmp_path / "cfg.json", {**payload, "output_dir": str(tmp_path / "out")})
+    assert main([payload["experiment"], "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize(
+    "family, params, unknown",
+    [
+        ("henon", {"A": 0.5, "p_coefs": [0.0, 0.0, 1.0]}, "['A', 'p_coefs']"),
+        ("henon", {"a": 0.3, "p_coeffs": [-1.2, 0.0, 1.0], "degree": 2}, "['degree']"),
+        ("cremona_composed", {"unitary_sed": 7}, "['unitary_sed']"),
+    ],
+)
+def test_unknown_map_parameters_are_rejected(tmp_path, family, params, unknown):
+    payload = {
+        "map": {"family": family, "params": params},
+        "experiment": "genericity",
+        "seed": 1,
+        "output_dir": str(tmp_path / "out"),
+    }
+    with pytest.raises(ConfigInvalid, match=re.escape(unknown)):
+        build_pair(load_config(payload).map)
+    assert main(["genericity", "--config", _write_config(tmp_path / "cfg.json", payload)]) == 2
+
+
+def test_cn_csv_cells_are_plain_numbers(tmp_path):
+    # the cn series holds numpy scalars; each cell must still be a number
+    assert main(["cn", "--config", _fit_config(tmp_path, "cn")]) == 0
+    with open(tmp_path / "out" / "cn.csv") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["lag", "value", "stderr", "dropped_fraction", "partial_sum"]
+    assert len(rows) == 4
+    for row in rows:
+        for cell in row:
+            float(cell)

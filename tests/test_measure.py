@@ -110,7 +110,7 @@ def test_invariance_defect_positive_at_depth_zero(henon):
 
 def test_invariance_defect_decreases_with_depth(henon):
     # frozen fixed-seed regression: deeper clouds are closer to invariant
-    bump = observable_catalog("affine-bump", {"chart": 0, "center": [0.0, 0.0], "radius": 2.0})
+    bump = observable_catalog("affine-bump", {"chart": 0, "cx": 0.0, "cy": 0.0, "radius": 2.0})
     coord = observable_catalog("fs-coordinate", {"index": 1})
     shallow = approx_mu(henon, 1, 10**5, 7)
     deep = approx_mu(henon, 6, 10**5, 7)

@@ -122,6 +122,8 @@ def test_correlation_rejects_negative_lag(henon, mu_small):
     phi = observable_catalog("fs-coordinate", {"index": 0})
     with pytest.raises(InvalidParam):
         correlation(henon, phi, phi, -1, mu_small)
+    with pytest.raises(InvalidParam):
+        correlation_series(henon, phi, phi, -1, mu_small)
 
 
 def test_correlation_series_matches_pointwise(henon, mu_small):

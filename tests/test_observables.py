@@ -69,6 +69,20 @@ def test_unknown_observable():
         observable_catalog("no-such-thing")
 
 
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("affine-bump", {"raduis": 3.0}),
+        ("fs-coordinate", {"index": 1, "chart": 2}),
+        ("holder-crease", {"aplha": 0.5}),
+        ("constant", {"val": 2.0}),
+    ],
+)
+def test_unknown_observable_parameter(name, params):
+    with pytest.raises(InvalidParam, match=r"\['(raduis|chart|aplha|val)'\]"):
+        observable_catalog(name, params)
+
+
 def test_affine_bump_norm_fixture():
     # recorded grid-scan value for the default C^2 bump
     obs = observable_catalog("affine-bump", {"chart": 2, "radius": 2.0})

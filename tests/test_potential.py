@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -215,9 +216,14 @@ def test_green_nonconvergence(henon):
         green_plus_henon(henon, (1e200, 1e150), max_iter=1, R_escape=10)
 
 
+NON_FINITE_ESCAPE = "non-finite escape point"
+
+
 def _green_reference(pair, p_affine, max_iter=200, R_escape=100.0):
     """The escape loop of ``green_plus_henon`` as it ran on complex values only
-    (one nested Horner call and one ``max`` per step), kept as the bit-level oracle."""
+    (one nested Horner call and one ``max`` per step), kept as the bit-level oracle.
+    Where the orbit escapes to a non-finite point it returns NON_FINITE_ESCAPE,
+    not the inf or NaN its tail would give."""
     if pair.meta.get("family") != "henon":
         raise InvalidParam("escape-rate Green function requires a Henon pair")
     if max_iter < 1 or R_escape < 10:
@@ -247,6 +253,8 @@ def _green_reference(pair, p_affine, max_iter=200, R_escape=100.0):
         if max(abs(x), abs(y)) <= R_escape:
             return 0.0
         raise NonConvergence("orbit neither escaped nor stayed bounded; raise max_iter")
+    if not (cmath.isfinite(x) and cmath.isfinite(y)):
+        return NON_FINITE_ESCAPE
 
     G = math.log(abs(y)) / d**n
     t, w = x / y, 1.0 / y
@@ -304,12 +312,16 @@ def _green_outcome(fn, pair, pt, max_iter, R_escape):
 
 def _assert_green_bits(pair, points, max_iter=200, R_escape=100.0):
     """green_plus_henon equals the reference bit for bit (sign of zero and
-    NaN included) or raises the same exception type; returns the values."""
+    NaN included) or raises the same exception type, and raises
+    NonConvergence where the reference escapes to a non-finite point;
+    returns the values."""
     out = []
     for pt in points:
         got = _green_outcome(green_plus_henon, pair, pt, max_iter, R_escape)
         ref = _green_outcome(_green_reference, pair, pt, max_iter, R_escape)
-        if isinstance(ref, float) and isinstance(got, float):
+        if ref is NON_FINITE_ESCAPE:
+            same = got is NonConvergence
+        elif isinstance(ref, float) and isinstance(got, float):
             same = (math.isnan(ref) and math.isnan(got)) or (
                 ref == got and math.copysign(1.0, ref) == math.copysign(1.0, got)
             )
@@ -348,12 +360,12 @@ def test_green_bits_across_maps_and_settings(name, max_iter, R_escape):
 
 
 def test_green_bits_where_a_real_orbit_overflows():
-    # p = y^4 overflows before its last Horner step: on complex values the
-    # escaped point carries a NaN imaginary part, and G+ is NaN
+    # p = y^4 overflows before its last Horner step, so the orbit escapes to
+    # a non-finite point; that raises NonConvergence, not a NaN G+
     quartic = make_henon(0.5, [0.0, 0.0, 0.0, 0.0, 1.0])
     pts = [(1e110, 1e105), (-1e110, 3e104), (1e110, 1e60), (2.0, 1e80)] + SPECIAL_POINTS
     vals = _assert_green_bits(quartic, pts)
-    assert math.isnan(vals[0])
+    assert vals[0] is NonConvergence
 
 
 def test_green_escape_loop_number_field(henon, monkeypatch):
