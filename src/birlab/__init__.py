@@ -24,7 +24,6 @@ from .errors import (
 from .genericity import GenericityReport, bd_partial_sums, indeterminacy_orbit
 from .maps import (
     BirationalPair,
-    FsForm,
     HomogeneousPolynomial,
     RationalMapRep,
     eval_point,
@@ -67,7 +66,6 @@ from .potential import (
     w_n,
 )
 from .projective import (
-    ChartCoords,
     ProjPoint,
     fs_distance,
     normalize,

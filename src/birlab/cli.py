@@ -1,6 +1,7 @@
 """Command line entry point: ``lab <subcommand> --config <path>``.
 
-Exit codes: 0 success, 2 invalid config, 3 experiment failure.
+Exit codes: 0 success; 2 invalid config, including a map or observable
+parameter of the wrong type or out of range; 3 experiment failure.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ def main(argv=None) -> int:
     except LabError as exc:
         print(f"experiment failed ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 3
-    for name, digest in manifest.outputs.items():
+    for name, digest in manifest["outputs"].items():
         print(f"{name}  sha256:{digest[:16]}")
     return 0
 

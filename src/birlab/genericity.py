@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidParam
-from .maps import EPS_IND, BirationalPair, eval_rows_checked
+from .maps import EPS_IND, BirationalPair, step_rows
 from .projective import ProjPoint, fix_phase_rows, min_set_distance
 
 EPS_DEGENERATE = EPS_IND
@@ -62,7 +62,7 @@ def indeterminacy_orbit(pair: BirationalPair, n: int, direction: str = "fwd") ->
     steps = [sources]
     Z = np.array([p.coords for p in sources])
     for j in range(n):
-        W, alive = eval_rows_checked(map_rep, Z)
+        W, _, alive = step_rows(map_rep, Z)
         flagged_at = [j if f is None and not ok else f for f, ok in zip(flagged_at, alive)]
         Z = fix_phase_rows(W)
         steps.append([ProjPoint(row) for row in Z])

@@ -176,11 +176,7 @@ class RationalMapRep:
 
 
 def identity_map(k: int = 2) -> RationalMapRep:
-    comps = []
-    for i in range(k + 1):
-        exps = tuple(1 if j == i else 0 for j in range(k + 1))
-        comps.append(HomogeneousPolynomial.from_dict(1, {exps: 1.0}))
-    return RationalMapRep(components=tuple(comps), degree=1)
+    return linear_map(np.eye(k + 1))
 
 
 def linear_map(A: np.ndarray) -> RationalMapRep:
@@ -253,12 +249,6 @@ def step_rows(map_rep: RationalMapRep, Z: np.ndarray):
     return W, nrm, alive
 
 
-def eval_rows_checked(map_rep: RationalMapRep, Z: np.ndarray):
-    """Vectorized evaluation; returns (images, alive mask) of ``step_rows``."""
-    W, _, alive = step_rows(map_rep, Z)
-    return W, alive
-
-
 def eval_point(map_rep: RationalMapRep, p: ProjPoint) -> ProjPoint:
     """Image of p, or IndeterminacyProximity if numerically on I(f)."""
     W, _, alive = step_rows(map_rep, p.coords)
@@ -282,14 +272,6 @@ def iterate(pair: BirationalPair, p: ProjPoint, n: int, direction: str = "fwd") 
             ) from exc
         orbit.append(p)
     return orbit
-
-
-@dataclass(frozen=True)
-class FsForm:
-    """Components of a (1,1)-form in an FS-orthonormal coframe at a point."""
-
-    matrix: np.ndarray
-    base_point: ProjPoint
 
 
 def differential_rows(map_rep: RationalMapRep, Z: np.ndarray, X: np.ndarray):
@@ -338,26 +320,27 @@ def pullback_chain(pair: BirationalPair, Z0: np.ndarray, m: int, direction: str 
     for _ in range(m):
         Z, X, ok = differential_rows(map_rep, Z, X)
         alive &= ok
-    H = np.einsum("nca,ncb->nab", np.conj(X), X)
-    return H, alive, Z
+    return _gram(X), alive, Z
 
 
-def fs_pullback_form(map_rep: RationalMapRep, p: ProjPoint) -> FsForm:
-    """Pointwise f^* omega as a PSD Hermitian 2x2 matrix at p."""
+def _gram(X: np.ndarray) -> np.ndarray:
+    """``X^dag X`` for each row's frame ``X``, shape ``(N, r, r)``."""
+    return np.einsum("nca,ncb->nab", np.conj(X), X)
+
+
+def fs_pullback_form(map_rep: RationalMapRep, p: ProjPoint) -> np.ndarray:
+    """f^* omega at p as a PSD Hermitian 2x2 matrix in the frame
+    ``tangent_frames`` gives p: one row of ``pullback_chain`` at m = 1."""
     Z = p.coords[None, :]
     _, X, alive = differential_rows(map_rep, Z, tangent_frames(Z))
     if not alive[0]:
         raise IndeterminacyProximity(f"point {p} is numerically indeterminate", step=0)
-    H = np.conj(X[0]).T @ X[0]
-    H = 0.5 * (H + np.conj(H).T)
-    return FsForm(matrix=H, base_point=p)
+    return _gram(X)[0]
 
 
 def pullback_density(map_rep: RationalMapRep, p: ProjPoint) -> float:
     """Density of f^* omega wedge omega^{k-1} against omega^k: tr/k."""
-    form = fs_pullback_form(map_rep, p)
-    k = len(p.coords) - 1
-    return float(np.real(np.trace(form.matrix)) / k)
+    return float(np.real(np.trace(fs_pullback_form(map_rep, p))) / p.k)
 
 
 def wedge_density_rows(Ha: np.ndarray, Hb: np.ndarray) -> np.ndarray:
@@ -371,11 +354,11 @@ def wedge_density_rows(Ha: np.ndarray, Hb: np.ndarray) -> np.ndarray:
     return np.real(val)
 
 
-def wedge_density(A: FsForm, B: FsForm) -> float:
-    """Wedge density of two (1,1)-forms at a common base point (k=2)."""
-    if A.matrix.shape != (2, 2) or B.matrix.shape != (2, 2):
+def wedge_density(A: np.ndarray, B: np.ndarray) -> float:
+    """Wedge density of two 2x2 (1,1)-forms written in one frame at one point."""
+    if np.shape(A) != (2, 2) or np.shape(B) != (2, 2):
         raise DimensionMismatch("wedge density defined for k = 2 only")
-    return float(wedge_density_rows(A.matrix, B.matrix))
+    return float(wedge_density_rows(A, B))
 
 
 def make_henon(a: complex, p_coeffs) -> BirationalPair:
@@ -506,8 +489,8 @@ def roundtrip_residuals(pair: BirationalPair, count: int, seed: int, guard: floa
     for q in pair.ind_fwd:
         keep &= fs_distance_rows(Z, np.broadcast_to(q.coords, Z.shape)) >= guard
     Z = Z[keep]
-    W, alive1 = eval_rows_checked(pair.fwd, Z)
-    B, alive2 = eval_rows_checked(pair.bwd, W)
+    W, _, alive1 = step_rows(pair.fwd, Z)
+    B, _, alive2 = step_rows(pair.bwd, W)
     B = canonicalize_rows(B)
     Zc = canonicalize_rows(Z)
     res = fs_distance_rows(B, Zc)

@@ -5,7 +5,8 @@ self-normalized importance sampling of pointwise form densities at finite
 pullback depth m.  Raw weights have unit mean in cohomology, which is the
 main health check; they are heavy-tailed near I(f^m), so they are clipped
 at a configurable quantile (then renormalized) and near-indeterminacy
-samples are dropped and counted rather than imputed.
+samples are dropped and counted rather than imputed.  A cloud left with
+no positive weight under the clip raises ``DegenerateCloud``.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParam
-from .maps import BirationalPair, eval_rows_checked, pullback_chain, wedge_density_rows
+from .errors import DegenerateCloud, DimensionMismatch, InvalidParam
+from .maps import BirationalPair, pullback_chain, step_rows, wedge_density_rows
 from .projective import sample_fs_rows
 
 DROP_WARN_FRACTION = 0.01
@@ -52,27 +53,23 @@ class WeightedCloud:
 
 def _finalize(Z, raw, alive, m, count, seed, clip_quantile) -> WeightedCloud:
     Z, raw = Z[alive], np.maximum(raw[alive], 0.0)
-    raw_mean = float(raw.mean()) if len(raw) else 0.0
-    raw_stderr = float(raw.std(ddof=1) / np.sqrt(len(raw))) if len(raw) > 1 else 0.0
-    if clip_quantile < 1.0 and len(raw):
-        cap = np.quantile(raw, clip_quantile)
-        w = np.minimum(raw, cap)
-    else:
-        w = raw.copy()
-    total = w.sum()
-    if total <= 0:
-        w = np.full(len(w), 1.0 / max(len(w), 1))
-    else:
-        w = w / total
+    # at clip_quantile = 1 the cap is the maximum and the clip leaves raw as is
+    cap = np.quantile(raw, clip_quantile) if raw.any() else 0.0
+    if cap <= 0:
+        raise DegenerateCloud(
+            f"no positive weight under the clip: {np.count_nonzero(raw)} of the "
+            f"{len(raw)} surviving samples ({count} drawn) have a positive weight"
+        )
+    w = np.minimum(raw, cap)
     return WeightedCloud(
         points=Z,
-        weights=w,
+        weights=w / w.sum(),
         depth_m=m,
         seed=seed,
         clip_quantile=clip_quantile,
         dropped_count=int(count - alive.sum()),
-        raw_mean=raw_mean,
-        raw_stderr=raw_stderr,
+        raw_mean=float(raw.mean()),
+        raw_stderr=float(raw.std(ddof=1) / np.sqrt(len(raw))) if len(raw) > 1 else 0.0,
     )
 
 
@@ -124,7 +121,7 @@ def invariance_defect(cloud: WeightedCloud, pair: BirationalPair, obs) -> float:
     Samples whose image hits indeterminacy proximity are dropped from the
     pushed term and its weights renormalized.
     """
-    W, alive = eval_rows_checked(pair.fwd, cloud.points)
+    W, _, alive = step_rows(pair.fwd, cloud.points)
     w = cloud.weights
     pushed_w = w[alive]
     total = pushed_w.sum()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCloud, InsufficientSignal, InvalidParam
-from .maps import BirationalPair, eval_rows_checked
+from .maps import BirationalPair, step_rows
 from .measure import WeightedCloud, effective_sample_size
 
 N_BOOT = 200
@@ -69,7 +69,7 @@ class OrbitTable:
     ``state(n)`` returns the n-th iterate and the alive mask at that lag;
     dead rows are frozen at their last value.  ``Z`` is the list of states
     computed so far, ``Z[0]`` the cloud's own points; later states may be
-    component-major (see ``eval_rows_checked``).
+    component-major (see ``step_rows``).
     """
 
     def __init__(self, pair: BirationalPair, cloud: WeightedCloud, direction: str = "fwd"):
@@ -79,7 +79,7 @@ class OrbitTable:
 
     def advance_to(self, n: int):
         while len(self.Z) <= n:
-            W, ok = eval_rows_checked(self.map_rep, self.Z[-1])
+            W, _, ok = step_rows(self.map_rep, self.Z[-1])
             alive = self.alive[-1] & ok
             # dead rows come back unchanged, so rows that died earlier stay frozen
             self.Z.append(W)

@@ -8,9 +8,9 @@ the smoothness tag sets the exponent alpha of the proven rate.
 
 from __future__ import annotations
 
-import inspect
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -42,10 +42,11 @@ def _bump_profile(r2: np.ndarray) -> np.ndarray:
     return out
 
 
-def _make_affine_bump(cx=0.0, cy=0.0, radius=2.0, chart=2):
-    cx, cy, radius, chart = complex(cx), complex(cy), float(radius), int(chart)
+def _make_affine_bump(cx: complex = 0j, cy: complex = 0j, radius: float = 2.0, chart: int = 2):
     if radius <= 0:
         raise InvalidParam("bump radius must be positive")
+    if not 0 <= chart <= 2:
+        raise InvalidParam("chart index must lie in [0, 2]")
     others = [j for j in range(3) if j != chart]
     center = np.zeros(2, dtype=complex)
     center[:] = (cx, cy)
@@ -62,8 +63,7 @@ def _make_affine_bump(cx=0.0, cy=0.0, radius=2.0, chart=2):
     return fn
 
 
-def _make_fs_coordinate(index=0):
-    index = int(index)
+def _make_fs_coordinate(index: int = 0):
     if not 0 <= index <= 2:
         raise InvalidParam("coordinate index must lie in [0, 2]")
 
@@ -73,10 +73,11 @@ def _make_fs_coordinate(index=0):
     return fn
 
 
-def _make_holder_crease(alpha=0.5, index=0, level=0.4):
-    alpha, index, level = float(alpha), int(index), float(level)
+def _make_holder_crease(alpha: float = 0.5, index: int = 0, level: float = 0.4):
     if not 0 < alpha <= 1:
         raise InvalidParam("Holder exponent must lie in (0, 1]")
+    if not 0 <= index <= 2:
+        raise InvalidParam("coordinate index must lie in [0, 2]")
 
     def fn(Z):
         return np.abs(np.abs(Z[..., index]) ** 2 - level) ** alpha
@@ -84,9 +85,7 @@ def _make_holder_crease(alpha=0.5, index=0, level=0.4):
     return fn
 
 
-def _make_constant(value=1.0):
-    value = float(value)
-
+def _make_constant(value: float = 1.0):
     def fn(Z):
         return np.full(Z.shape[:-1], value)
 
@@ -141,6 +140,9 @@ def estimate_norm(fn, smoothness: str) -> float:
     return total
 
 
+# the values each parameter type that a builder annotates accepts
+_ACCEPTS = {int: numbers.Integral, float: numbers.Real, complex: numbers.Complex}
+
 _BUILDERS = {
     "constant": (_make_constant, "C2"),
     "affine-bump": (_make_affine_bump, "C2"),
@@ -152,21 +154,27 @@ _BUILDERS = {
 def observable_catalog(name: str, params: dict = None) -> Observable:
     """Built-in observables: constant, affine-bump, fs-coordinate, holder-crease.
 
-    ``params`` may name only the keyword parameters of the observable's builder.
+    ``params`` may name only the keyword parameters of the observable's
+    builder, each with a number of the type that parameter is annotated with.
     """
     params = dict(params or {})
     if name not in _BUILDERS:
         raise InvalidParam(f"unknown observable {name!r}")
     builder, smoothness = _BUILDERS[name]
-    known = inspect.signature(builder).parameters
-    unknown = sorted(set(params) - set(known))
+    kinds = get_type_hints(builder)
+    unknown = sorted(set(params) - set(kinds))
     if unknown:
-        raise InvalidParam(f"unknown {name} parameters {unknown}; known: {sorted(known)}")
-    fn = builder(**params)
+        raise InvalidParam(f"unknown {name} parameters {unknown}; known: {sorted(kinds)}")
+    values = {}
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, _ACCEPTS[kinds[key]]):
+            raise InvalidParam(f"{name} parameter {key} must be a {kinds[key].__name__}, not {value!r}")
+        values[key] = kinds[key](value)
+    fn = builder(**values)
     if smoothness is None:
-        smoothness = f"Holder({float(params.get('alpha', 0.5))})"
+        smoothness = f"Holder({values.get('alpha', 0.5)})"
     if name == "constant":
-        norm = abs(float(params.get("value", 1.0)))
+        norm = abs(values.get("value", 1.0))
     else:
         norm = estimate_norm(fn, smoothness)
     return Observable(name=name, params=params, smoothness=smoothness, norm_estimate=norm, fn=fn)

@@ -56,14 +56,6 @@ class ProjPoint:
         return f"[{inner}]"
 
 
-@dataclass(frozen=True)
-class ChartCoords:
-    """Affine coordinates of a point in the chart ``coords[chart] != 0``."""
-
-    chart_index: int
-    values: tuple
-
-
 def normalize(raw) -> ProjPoint:
     """Canonical unit representative of a raw homogeneous tuple."""
     arr = np.asarray(raw, dtype=complex)
@@ -92,7 +84,9 @@ def fs_distance_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 def min_set_distance(ps, qs) -> float:
     """Minimum pairwise chordal distance between two finite point sets."""
-    return min(fs_distance(p, q) for p in ps for q in qs)
+    P = np.array([p.coords for p in ps])
+    Q = np.array([q.coords for q in qs])
+    return float(fs_distance_rows(P[:, None, :], Q[None, :, :]).min())
 
 
 def sample_fs_rows(count: int, seed: int, k: int = 2) -> np.ndarray:
@@ -114,7 +108,7 @@ def sample_fs(count: int, seed: int, k: int = 2) -> list:
     return [ProjPoint(row) for row in rows]
 
 
-def to_chart(p: ProjPoint, chart: int) -> ChartCoords:
+def to_chart(p: ProjPoint, chart: int) -> tuple:
     """Affine coordinates coords[j]/coords[chart], j != chart, in order."""
     coords = p.coords
     if not 0 <= chart <= p.k:
@@ -122,8 +116,7 @@ def to_chart(p: ProjPoint, chart: int) -> ChartCoords:
     pivot = coords[chart]
     if abs(pivot) < CHART_THRESHOLD:
         raise ChartSingular(f"|coords[{chart}]| = {abs(pivot):.3e} below chart threshold")
-    values = tuple(complex(coords[j] / pivot) for j in range(len(coords)) if j != chart)
-    return ChartCoords(chart_index=chart, values=values)
+    return tuple(complex(coords[j] / pivot) for j in range(len(coords)) if j != chart)
 
 
 def chart_disc(seed, count: int, radius: float, k: int = 2) -> np.ndarray:

@@ -10,15 +10,15 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
-from typing import List, Literal, Optional, Union
+from typing import List, Literal, Optional
 
 import numpy as np
 from pydantic import BaseModel, ConfigDict, Field, ValidationError, model_validator
 
 from . import __version__
-from .errors import ConfigInvalid, InsufficientSignal
+from .errors import ConfigInvalid, InsufficientSignal, InvalidParam
 from .genericity import bd_partial_sums
 from .maps import BirationalPair, make_cremona_composed, make_henon, random_unitary
 from .measure import DROP_WARN_FRACTION, approx_T_plus_wedge_omega, approx_mu, effective_sample_size
@@ -40,6 +40,8 @@ from .potential import (
 from .projective import from_chart_rows
 
 MEASURE_EXPERIMENTS = {"measure", "cn", "correlation"}
+# how many observables each experiment reads
+OBSERVABLES_READ = {"cn": 1, "correlation": 2}
 MIN_MEASURE_COUNT = 1000
 MAP_PARAMS = {"henon": {"a", "p_coeffs"}, "cremona_composed": {"matrix", "unitary_seed"}}
 # a verdict passes when the rate CI reaches within this fraction of the proven rate
@@ -47,15 +49,25 @@ SLACK_FRACTION = 0.2
 # escape-loop budget of the green experiment's grid
 GREEN_MAX_ITER = 400
 
-ComplexLike = Union[float, int, List[float]]
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def as_complex(value: ComplexLike) -> complex:
-    if isinstance(value, (int, float)):
+def as_complex(value, name: str) -> complex:
+    """A JSON number, or a ``[re, im]`` pair of numbers, as a complex number."""
+    if _is_real(value):
         return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_real, value)):
         return complex(value[0], value[1])
-    raise ConfigInvalid(f"cannot interpret {value!r} as a complex number")
+    raise InvalidParam(f"{name} must be a number or an [re, im] pair, not {value!r}")
+
+
+def _as_list(value, name: str, length: int = None) -> list:
+    if not isinstance(value, list) or length not in (None, len(value)):
+        size = "a list" if length is None else f"a list of {length}"
+        raise InvalidParam(f"{name} must be {size}, not {value!r}")
+    return value
 
 
 class MapConfig(BaseModel):
@@ -96,15 +108,6 @@ class ExperimentConfig(BaseModel):
         return self
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    config: dict
-    version: str
-    wall_time_s: float
-    dropped_fractions: dict
-    outputs: dict  # relative path -> sha256
-
-
 def load_config(data) -> ExperimentConfig:
     """Validate a config dict (or JSON text/path) into an ExperimentConfig."""
     if isinstance(data, (str, Path)):
@@ -122,20 +125,28 @@ def load_config(data) -> ExperimentConfig:
 
 
 def build_pair(cfg: MapConfig) -> BirationalPair:
+    """The map pair of ``cfg``; a bad parameter is a ``ConfigInvalid`` naming it."""
     params = dict(cfg.params)
     known = MAP_PARAMS[cfg.family]
     unknown = sorted(set(params) - known)
     if unknown:
         raise ConfigInvalid(f"map.params: unknown {cfg.family} parameters {unknown}; known: {sorted(known)}")
-    if cfg.family == "henon":
-        a = as_complex(params.get("a", 0.3))
-        p_coeffs = [as_complex(c) for c in params.get("p_coeffs", [-1.2, 0.0, 1.0])]
-        return make_henon(a, p_coeffs)
-    if "matrix" in params:
-        A = np.array([[as_complex(v) for v in row] for row in params["matrix"]])
-    else:
-        A = random_unitary(int(params.get("unitary_seed", 0)))
-    return make_cremona_composed(A)
+    try:
+        if cfg.family == "henon":
+            a = as_complex(params.get("a", 0.3), "a")
+            coeffs = _as_list(params.get("p_coeffs", [-1.2, 0.0, 1.0]), "p_coeffs")
+            return make_henon(a, [as_complex(c, "p_coeffs") for c in coeffs])
+        if "matrix" in params:
+            rows = _as_list(params["matrix"], "matrix", 3)
+            A = np.array([[as_complex(v, "matrix") for v in _as_list(row, "matrix", 3)] for row in rows])
+        else:
+            seed = params.get("unitary_seed", 0)
+            if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+                raise InvalidParam(f"unitary_seed must be an integer >= 0, not {seed!r}")
+            A = random_unitary(seed)
+        return make_cremona_composed(A)
+    except InvalidParam as exc:
+        raise ConfigInvalid(f"map.params: {exc}") from exc
 
 
 def _fmt(x) -> str:
@@ -144,15 +155,15 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header, rows):
+def _csv(header, rows) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: Path, payload):
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _json(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def compare_to_theory(summary: DecayFit, pair: BirationalPair, alpha: float, regular: bool) -> dict:
@@ -183,6 +194,8 @@ def _fit_and_verdict(cfg, pair, series, observables):
 
 
 def _observables(cfg: ExperimentConfig, how_many: int):
+    """The first ``how_many`` observables of ``cfg``, the last repeated as needed;
+    a bad descriptor is a ``ConfigInvalid`` naming it."""
     descs = list(cfg.observables)
     if not descs:
         descs = [ObservableConfig(name="affine-bump", params={"radius": 2.0})]
@@ -191,35 +204,32 @@ def _observables(cfg: ExperimentConfig, how_many: int):
     # each distinct (name, params) is built, and its norm estimated, once
     keys = [json.dumps([d.name, d.params], sort_keys=True) for d in descs[:how_many]]
     built = {}
-    for key, d in zip(keys, descs):
+    for i, (key, d) in enumerate(zip(keys, descs)):
         if key not in built:
-            built[key] = observable_catalog(d.name, d.params)
+            try:
+                built[key] = observable_catalog(d.name, d.params)
+            except InvalidParam as exc:
+                raise ConfigInvalid(f"observables.{i}: {exc}") from exc
     return [built[key] for key in keys]
 
 
-def _run_genericity(cfg, pair, out):
+# Each experiment returns the files it writes (name -> text) and its
+# dropped fractions; ``run`` writes and digests them.
+
+
+def _run_genericity(cfg, pair, observables):
     N = cfg.N_max if cfg.N_max is not None else 20
     report = bd_partial_sums(pair, N)
     rows = [
         (n, df, tf, db, tb)
         for (n, df, tf), (_, db, tb) in zip(report.terms_fwd, report.terms_bwd)
     ]
-    _write_csv(out / "genericity.csv", ["n", "dist_fwd", "term_fwd", "dist_bwd", "term_bwd"], rows)
-    _write_json(
-        out / "genericity.json",
-        {
-            "partial_sum_fwd": report.partial_sum_fwd,
-            "partial_sum_bwd": report.partial_sum_bwd,
-            "degenerate": report.degenerate,
-            "degenerate_index": report.degenerate_index,
-            "tail_bound_fwd": report.tail_bound_fwd,
-            "tail_bound_bwd": report.tail_bound_bwd,
-        },
-    )
-    return {}
+    summary = {k: v for k, v in asdict(report).items() if not k.startswith("terms_")}
+    header = ["n", "dist_fwd", "term_fwd", "dist_bwd", "term_bwd"]
+    return {"genericity.csv": _csv(header, rows), "genericity.json": _json(summary)}, {}
 
 
-def _run_green(cfg, pair, out):
+def _run_green(cfg, pair, observables):
     series = QuasiPotentialSeries.calibrate(pair, cfg.depth_n)
     ticks = np.linspace(-cfg.grid_range, cfg.grid_range, cfg.grid_n)
     xs, ys = np.meshgrid(ticks, ticks, indexing="ij")
@@ -230,9 +240,9 @@ def _run_green(cfg, pair, out):
     chi = chi_A_rows(series, Z, cfg.cutoff_A)
     g = [green_plus_henon(pair, (x, y), GREEN_MAX_ITER) for x, y in zip(xs, ys)]
     rows = list(zip(xs.tolist(), ys.tolist(), v.tolist(), w.tolist(), chi.tolist(), g))
-    _write_csv(out / "green.csv", ["x", "y", "v_n", "w_n", "chi_A", "green_plus"], rows)
-    _write_json(out / "green.json", {"shift": series.shift, "depth_n": cfg.depth_n, "A": cfg.cutoff_A})
-    return {}
+    summary = {"shift": series.shift, "depth_n": cfg.depth_n, "A": cfg.cutoff_A}
+    header = ["x", "y", "v_n", "w_n", "chi_A", "green_plus"]
+    return {"green.csv": _csv(header, rows), "green.json": _json(summary)}, {}
 
 
 def _cloud_summary(cloud):
@@ -249,63 +259,56 @@ def _cloud_summary(cloud):
     }
 
 
-def _run_measure(cfg, pair, out):
+def _run_measure(cfg, pair, observables):
     plus = approx_T_plus_wedge_omega(pair, cfg.depth_m, cfg.count, cfg.seed)
     mu = approx_mu(pair, cfg.depth_m, cfg.count, cfg.seed)
-    _write_json(out / "measure.json", {"T_plus_wedge_omega": _cloud_summary(plus), "mu": _cloud_summary(mu)})
-    return {
-        "t_plus": plus.dropped_fraction,
-        "mu": mu.dropped_fraction,
-    }
+    summary = {"T_plus_wedge_omega": _cloud_summary(plus), "mu": _cloud_summary(mu)}
+    return {"measure.json": _json(summary)}, {"t_plus": plus.dropped_fraction, "mu": mu.dropped_fraction}
 
 
-def _run_cn(cfg, pair, out):
+def _observable_summary(obs):
+    return {"name": obs.name, "smoothness": obs.smoothness, "norm_estimate": obs.norm_estimate}
+
+
+def _run_cn(cfg, pair, observables):
     n_max = cfg.n_max if cfg.n_max is not None else 10
-    (obs,) = _observables(cfg, 1)
+    (obs,) = observables
     nu_plus = approx_T_plus_wedge_omega(pair, cfg.depth_m, cfg.count, cfg.seed)
     seq = c_sequence(pair, obs, n_max, nu_plus)
     rows = [
         (n, seq.c[n], seq.stderr[n], seq.dropped_fraction[n], seq.partial_sums[n])
         for n in range(n_max + 1)
     ]
-    _write_csv(out / "cn.csv", ["lag", "value", "stderr", "dropped_fraction", "partial_sum"], rows)
     fit, verdict = _fit_and_verdict(cfg, pair, seq, [obs])
-    _write_json(
-        out / "cn.json",
-        {
-            "cloud": _cloud_summary(nu_plus),
-            "observable": {"name": obs.name, "smoothness": obs.smoothness, "norm_estimate": obs.norm_estimate},
-            "fit": fit,
-            "theory": verdict,
-        },
-    )
-    return {"nu_plus": nu_plus.dropped_fraction, "max_lag": float(seq.dropped_fraction.max())}
+    summary = {
+        "cloud": _cloud_summary(nu_plus),
+        "observable": _observable_summary(obs),
+        "fit": fit,
+        "theory": verdict,
+    }
+    files = {
+        "cn.csv": _csv(["lag", "value", "stderr", "dropped_fraction", "partial_sum"], rows),
+        "cn.json": _json(summary),
+    }
+    return files, {"nu_plus": nu_plus.dropped_fraction, "max_lag": float(seq.dropped_fraction.max())}
 
 
-def _run_correlation(cfg, pair, out):
+def _run_correlation(cfg, pair, observables):
     N_max = cfg.N_max if cfg.N_max is not None else 12
-    phi, psi = _observables(cfg, 2)
     mu = approx_mu(pair, cfg.depth_m, cfg.count, cfg.seed)
-    series = correlation_series(pair, phi, psi, N_max, mu)
-    _write_csv(
-        out / "correlation.csv",
-        ["lag", "value", "stderr", "dropped_fraction"],
-        series.entries,
-    )
-    fit, verdict = _fit_and_verdict(cfg, pair, series, [phi, psi])
-    _write_json(
-        out / "correlation.json",
-        {
-            "cloud": _cloud_summary(mu),
-            "observables": [
-                {"name": o.name, "smoothness": o.smoothness, "norm_estimate": o.norm_estimate}
-                for o in (phi, psi)
-            ],
-            "fit": fit,
-            "theory": verdict,
-        },
-    )
-    return {"mu": mu.dropped_fraction, "max_lag": max(e[3] for e in series.entries)}
+    series = correlation_series(pair, *observables, N_max, mu)
+    fit, verdict = _fit_and_verdict(cfg, pair, series, observables)
+    summary = {
+        "cloud": _cloud_summary(mu),
+        "observables": [_observable_summary(o) for o in observables],
+        "fit": fit,
+        "theory": verdict,
+    }
+    files = {
+        "correlation.csv": _csv(["lag", "value", "stderr", "dropped_fraction"], series.entries),
+        "correlation.json": _json(summary),
+    }
+    return files, {"mu": mu.dropped_fraction, "max_lag": max(e[3] for e in series.entries)}
 
 
 _RUNNERS = {
@@ -317,23 +320,30 @@ _RUNNERS = {
 }
 
 
-def run(config: ExperimentConfig) -> RunManifest:
-    """Execute one experiment; emits files and returns the manifest."""
+def run(config: ExperimentConfig) -> dict:
+    """Execute one experiment; writes its files and returns the manifest.
+
+    The map pair and the observables are built, and a bad value rejected as
+    ``ConfigInvalid``, before anything is written.  The manifest lists the
+    digests of the files this run wrote, and no other file in the directory.
+    """
     start = time.monotonic()
     pair = build_pair(config.map)
+    observables = _observables(config, OBSERVABLES_READ.get(config.experiment, 0))
+    files, dropped = _RUNNERS[config.experiment](config, pair, observables)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dropped = _RUNNERS[config.experiment](config, pair, out)
     digests = {}
-    for path in sorted(out.iterdir()):
-        if path.suffix in {".csv", ".json"} and path.name != "manifest.json":
-            digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    manifest = RunManifest(
-        config=config.model_dump(mode="json"),
-        version=__version__,
-        wall_time_s=time.monotonic() - start,
-        dropped_fractions=dropped,
-        outputs=digests,
-    )
-    _write_json(out / "manifest.json", asdict(manifest))
+    for name, text in sorted(files.items()):
+        data = text.encode()
+        (out / name).write_bytes(data)
+        digests[name] = hashlib.sha256(data).hexdigest()
+    manifest = {
+        "config": config.model_dump(mode="json"),
+        "version": __version__,
+        "wall_time_s": time.monotonic() - start,
+        "dropped_fractions": dropped,
+        "outputs": digests,
+    }
+    (out / "manifest.json").write_text(_json(manifest))
     return manifest

@@ -14,10 +14,10 @@ import pytest
 
 from birlab.genericity import bd_partial_sums
 from birlab.maps import (
-    eval_rows_checked,
     make_cremona_composed,
     make_henon,
     random_unitary,
+    step_rows,
 )
 from birlab.measure import approx_T_plus_wedge_omega, approx_mu
 from birlab.mixing import (
@@ -139,7 +139,7 @@ def test_criterion_4_telescoping(classic):
         W = Z.copy()
         ok_mask = np.ones(len(Z), dtype=bool)
         for _ in range(n):
-            W, step_ok = eval_rows_checked(classic.fwd, W)
+            W, _, step_ok = step_rows(classic.fwd, W)
             ok_mask &= step_ok
         term = np.where(ok_mask, u1_rows(classic, W), np.nan) / classic.d**n
         finite = np.isfinite(v_n1) & np.isfinite(v_n0) & np.isfinite(term)

@@ -5,9 +5,10 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from birlab import observables, runner
+from birlab import measure, observables, runner
 from birlab.cli import main
 from birlab.errors import ConfigInvalid, DegenerateCloud, InsufficientSignal
 from birlab.mixing import DecayFit, theoretical_rate
@@ -401,3 +402,54 @@ def test_cn_csv_cells_are_plain_numbers(tmp_path):
     for row in rows:
         for cell in row:
             float(cell)
+
+
+@pytest.mark.parametrize(
+    "config, change, where, field",
+    [
+        ("genericity_henon", {"params": {"a": 0.3, "p_coeffs": 5}}, "map.params", "p_coeffs"),
+        ("genericity_cremona", {"params": {"unitary_seed": "x"}}, "map.params", "unitary_seed"),
+        ("cn_henon", {"name": "affine-bump", "params": {"cx": [0.1, 0.2]}}, "observables.0", "cx"),
+        ("genericity_henon", {"params": {"a": 0, "p_coeffs": [-1.2, 0.0, 1.0]}}, "map.params", "parameter a "),
+        ("cn_henon", {"name": "affine-bump", "params": {"radius": 0}}, "observables.0", "radius"),
+        ("cn_henon", {"name": "affine-bump", "params": {"raduis": 2}}, "observables.0", "raduis"),
+    ],
+    ids=["p_coeffs-not-a-list", "unitary_seed-not-an-int", "cx-a-pair", "a-zero", "radius-zero", "raduis-unknown"],
+)
+def test_bad_map_and_observable_values_are_config_errors(tmp_path, capsys, config, change, where, field):
+    payload = json.loads((CONFIGS / f"{config}.json").read_text())
+    if where == "map.params":
+        payload["map"] = {**payload["map"], **change}
+    else:
+        payload["observables"] = [change]
+    cfg = _write_config(tmp_path / "cfg.json", {**payload, "output_dir": str(tmp_path / "out")})
+    assert main([payload["experiment"], "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {where}: ") and field in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_manifest_lists_only_the_files_its_run_wrote(tmp_path):
+    out = tmp_path / "shared"
+    expected = {"genericity_henon": ["genericity.csv", "genericity.json"], "measure_henon": ["measure.json"]}
+    for config, names in expected.items():
+        cfg = load_config(json.loads((CONFIGS / f"{config}.json").read_text()) | {"output_dir": str(out)})
+        manifest = runner.run(cfg)
+        assert json.loads((out / "manifest.json").read_text()) == manifest
+        assert sorted(manifest["outputs"]) == names
+        for name, digest in manifest["outputs"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    # the first run's files are still there, only no longer listed
+    assert {p.name for p in out.iterdir()} == {"genericity.csv", "genericity.json", "measure.json", "manifest.json"}
+
+
+def test_lab_measure_exits_3_on_a_degenerate_cloud(tmp_path, monkeypatch):
+    chain = measure.pullback_chain
+
+    def zero_forms(pair, Z0, m, direction="fwd"):
+        H, alive, Z = chain(pair, Z0, m, direction)
+        return np.zeros_like(H), alive, Z
+
+    monkeypatch.setattr(measure, "pullback_chain", zero_forms)
+    config = str(CONFIGS / "measure_henon.json")
+    assert main(["measure", "--config", config, "--out", str(tmp_path / "out")]) == 3

@@ -1,0 +1,63 @@
+"""Each concept has one kernel: the layering of ``src/birlab``, read with ``ast``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "birlab"
+
+
+def _innermost(predicate):
+    """(module, function) pairs of the innermost functions holding a node that
+    satisfies ``predicate``; module-level code is reported as ``<module>``."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+
+        def visit(node, owner):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = node.name
+            if predicate(node):
+                found.add((path.stem, owner))
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner)
+
+        visit(tree, "<module>")
+    return found
+
+
+def _calls(attr):
+    return lambda node: (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == attr
+    )
+
+
+def _compares_with(name):
+    return lambda node: isinstance(node, ast.Compare) and any(
+        isinstance(n, ast.Name) and n.id == name for n in [node.left, *node.comparators]
+    )
+
+
+def test_map_evaluation_has_one_checked_step():
+    assert _innermost(_calls("eval_rows")) == {("maps", "step_rows")}
+    assert _innermost(_compares_with("EPS_IND")) == {("maps", "step_rows")}
+
+
+def test_jacobians_are_evaluated_only_by_the_differential_step():
+    assert _innermost(_calls("jacobian_rows")) == {("maps", "differential_rows")}
+
+
+@pytest.mark.parametrize("name", ["eval_rows_checked", "FsForm", "ChartCoords", "RunManifest"])
+def test_removed_pass_through_names_stay_gone(name):
+    defined = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.alias):
+                defined.add(node.asname or node.name)
+    assert name not in defined

@@ -11,11 +11,9 @@ from birlab.errors import (
     InvalidParam,
 )
 from birlab.maps import (
-    FsForm,
     HomogeneousPolynomial,
     differential_rows,
     eval_point,
-    eval_rows_checked,
     fs_pullback_form,
     identity_map,
     iterate,
@@ -35,6 +33,7 @@ from birlab.projective import (
     fs_distance,
     fs_distance_rows,
     normalize,
+    sample_fs,
     sample_fs_rows,
     tangent_frames,
 )
@@ -116,7 +115,7 @@ def test_pullback_identity_is_identity_matrix():
     ident = identity_map()
     for raw in ([1, 2, 3], [0.1, 1j, 1]):
         form = fs_pullback_form(ident, normalize(raw))
-        assert np.allclose(form.matrix, np.eye(2), atol=1e-10)
+        assert np.allclose(form, np.eye(2), atol=1e-10)
 
 
 def test_pullback_unitary_is_identity_matrix():
@@ -125,7 +124,7 @@ def test_pullback_unitary_is_identity_matrix():
     Z = sample_fs_rows(50, 2)
     for row in Z:
         form = fs_pullback_form(rep, normalize(row))
-        assert np.allclose(form.matrix, np.eye(2), atol=1e-9)
+        assert np.allclose(form, np.eye(2), atol=1e-9)
 
 
 def test_pullback_trace_cohomological_mass(henon):
@@ -160,13 +159,12 @@ def test_pullback_density_identity_and_growth(henon):
 
 
 def test_wedge_density_basic_values():
-    p = normalize([1, 0, 0])
-    ident = FsForm(matrix=np.eye(2, dtype=complex), base_point=p)
+    ident = np.eye(2, dtype=complex)
     assert abs(wedge_density(ident, ident) - 1.0) < 1e-14
-    B = FsForm(matrix=np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 1.9]]), base_point=p)
-    assert abs(wedge_density(ident, B) - np.real(np.trace(B.matrix)) / 2) < 1e-14
-    A = FsForm(matrix=np.diag([2.0, 0.0]).astype(complex), base_point=p)
-    C = FsForm(matrix=np.diag([0.0, 2.0]).astype(complex), base_point=p)
+    B = np.array([[0.7, 0.1 + 0.2j], [0.1 - 0.2j, 1.9]])
+    assert abs(wedge_density(ident, B) - np.real(np.trace(B)) / 2) < 1e-14
+    A = np.diag([2.0, 0.0]).astype(complex)
+    C = np.diag([0.0, 2.0]).astype(complex)
     assert abs(wedge_density(A, C) - 2.0) < 1e-14
 
 
@@ -188,8 +186,7 @@ def test_wedge_density_positive_on_psd_pairs():
 
 
 def test_wedge_density_dimension_guard():
-    p = normalize([1, 0, 0, 0])
-    big = FsForm(matrix=np.eye(3, dtype=complex), base_point=p)
+    big = np.eye(3, dtype=complex)
     with pytest.raises(DimensionMismatch):
         wedge_density(big, big)
 
@@ -332,18 +329,29 @@ def test_pullback_chain_freezes_rows_dying_later():
     assert np.array_equal(Z4, Z1)
 
 
+@pytest.mark.parametrize("name", ["classic_henon", "cremona"])
+@pytest.mark.parametrize("direction", ["fwd", "bwd"])
+def test_scalar_pullback_is_one_row_of_the_chain(name, direction):
+    pair = CHAIN_PAIRS[name]()
+    map_rep = pair.map_for(direction)
+    for p in sample_fs(500, 43):
+        H = pullback_chain(pair, p.coords[None], 1, direction)[0][0]
+        assert np.array_equal(fs_pullback_form(map_rep, p), H)
+        assert pullback_density(map_rep, p) == np.real(np.trace(H)) / 2
+
+
 @pytest.mark.parametrize("name", sorted(CHAIN_PAIRS))
-def test_eval_rows_checked_live_dead_and_layout(name):
+def test_step_rows_live_dead_and_layout(name):
     pair = CHAIN_PAIRS[name]()
     on_ind = np.array([q.coords for q in pair.ind_fwd])
     Z = sample_fs_rows(50, 3)
-    W, alive = eval_rows_checked(pair.fwd, Z)
+    W, _, alive = step_rows(pair.fwd, Z)
     assert alive.all()
     F = pair.fwd.eval_rows(Z)
     assert np.array_equal(W, F / np.linalg.norm(F, axis=-1, keepdims=True))
     # rows on I(f) are flagged dead and keep their (unit) input
     mixed = np.concatenate([Z[:20], on_ind, Z[20:]])
-    W_mixed, alive_mixed = eval_rows_checked(pair.fwd, mixed)
+    W_mixed, _, alive_mixed = step_rows(pair.fwd, mixed)
     dead = np.arange(20, 20 + len(on_ind))
     assert not alive_mixed[dead].any()
     assert np.array_equal(W_mixed[dead], on_ind)
@@ -352,8 +360,8 @@ def test_eval_rows_checked_live_dead_and_layout(name):
     assert np.array_equal(np.delete(alive_mixed, dead), alive)
     # nor does the memory layout of the input
     for rows in (Z, mixed):
-        W_row, alive_row = eval_rows_checked(pair.fwd, np.ascontiguousarray(rows))
-        W_col, alive_col = eval_rows_checked(pair.fwd, np.asfortranarray(rows))
+        W_row, _, alive_row = step_rows(pair.fwd, np.ascontiguousarray(rows))
+        W_col, _, alive_col = step_rows(pair.fwd, np.asfortranarray(rows))
         assert np.array_equal(W_row, W_col) and np.array_equal(alive_row, alive_col)
 
 
@@ -425,7 +433,6 @@ def test_checked_step_is_projectively_invariant(pair, direction, seed, theta):
     # dead rows come back bit for bit
     assert np.array_equal(W[~alive], Z[~alive])
     assert np.array_equal(W_lam[~alive], (lam * Z)[~alive])
-    assert np.array_equal(eval_rows_checked(map_rep, Z)[0], W)
 
 
 def _psd_pair(seed, scale_a, scale_b):
@@ -473,3 +480,49 @@ def test_pushed_frame_gram_matrix_follows_the_frame(pair, direction, seed):
     assert np.all(np.abs(H_U - np.conj(U).T @ H @ U) <= 1e-12 * scale)
     wedge = wedge_density_rows(H, H)
     assert np.all(np.abs(wedge_density_rows(H_U, H_U) - wedge) <= 1e-12 * scale[:, 0, 0] ** 2)
+
+
+def _roundtrip(fwd, bwd, Z):
+    """FS residuals of bwd(fwd(z)) against z, on the rows both checked steps keep alive."""
+    W, _, alive_f = step_rows(fwd, Z)
+    B, _, alive_b = step_rows(bwd, W)
+    alive = alive_f & alive_b
+    assert alive.mean() >= 0.5
+    return fs_distance_rows(B[alive], Z[alive])
+
+
+def _scalars(lo, hi):
+    """Real numbers of either sign and complex numbers, with lo <= |x| <= hi."""
+    return (
+        st.floats(lo, hi)
+        | st.floats(-hi, -lo)
+        | st.complex_numbers(min_magnitude=lo, max_magnitude=hi, allow_nan=False, allow_infinity=False)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=_scalars(0.05, 2.0),
+    lower=st.lists(_scalars(0.0, 2.0), min_size=2, max_size=3),
+    lead=_scalars(0.1, 2.0),
+    seed=st.integers(0, 2**16),
+)
+def test_henon_backward_map_inverts_forward_map(a, lower, lead, seed):
+    pair = make_henon(a, lower + [lead])
+    Z = sample_fs_rows(1000, seed)
+    # 1e-2 off the line z = 0, which holds I(f) and which f contracts onto I(f^-1)
+    Z = Z[np.abs(Z[:, 2]) >= 1e-2]
+    assert _roundtrip(pair.fwd, pair.bwd, Z).max() <= 1e-9
+    # a backward map built with another a is not the inverse, and the check says so
+    assert _roundtrip(pair.fwd, make_henon(2 * a, lower + [lead]).bwd, Z).max() > 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_cremona_backward_map_inverts_forward_map(seed):
+    A = random_unitary(seed)
+    pair = make_cremona_composed(A)
+    Z = sample_fs_rows(1000, seed)
+    # 1e-2 off the lines (Az)_i = 0 that f = J o A contracts; I(f) is where two meet
+    Z = Z[(np.abs(Z @ A.T) >= 1e-2).all(axis=1)]
+    assert _roundtrip(pair.fwd, pair.bwd, Z).max() <= 1e-9

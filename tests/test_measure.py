@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from birlab.errors import DimensionMismatch, InvalidParam
+from birlab import measure
+from birlab.errors import DegenerateCloud, DimensionMismatch, InvalidParam
 from birlab.maps import make_henon
 from birlab.measure import (
     WeightedCloud,
@@ -75,6 +76,33 @@ def test_validation_errors(henon):
         approx_mu(henon, 1, 0, 1)
     with pytest.raises(InvalidParam):
         approx_mu(henon, 1, 1000, 1, clip_quantile=0.4)
+
+
+def _broken_chain(broken):
+    """``pullback_chain`` with its forms zeroed ("zero_form"), zeroed on all
+    rows but one ("one_row"), or every row flagged dead ("all_dead")."""
+    chain = measure.pullback_chain
+
+    def patched(pair, Z0, m, direction="fwd"):
+        H, alive, Z = chain(pair, Z0, m, direction)
+        if broken == "all_dead":
+            return H, np.zeros_like(alive), Z
+        H0 = np.zeros_like(H)
+        if broken == "one_row":
+            H0[0] = H[0]
+        return H0, alive, Z
+
+    return patched
+
+
+@pytest.mark.parametrize("broken", ["zero_form", "one_row", "all_dead"])
+def test_cloud_without_positive_weight_under_the_clip_is_degenerate(henon, monkeypatch, broken):
+    # without the check, these clouds came back with FS-uniform weights
+    monkeypatch.setattr(measure, "pullback_chain", _broken_chain(broken))
+    with pytest.raises(DegenerateCloud):
+        approx_T_plus_wedge_omega(henon, 2, 10000, 3)
+    with pytest.raises(DegenerateCloud):
+        approx_mu(henon, 2, 10000, 3)
 
 
 def test_effective_sample_size_extremes():

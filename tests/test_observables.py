@@ -83,6 +83,25 @@ def test_unknown_observable_parameter(name, params):
         observable_catalog(name, params)
 
 
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("affine-bump", {"cx": [0.1, 0.2]}),
+        ("affine-bump", {"radius": "2"}),
+        ("affine-bump", {"chart": 1.0}),
+        ("affine-bump", {"chart": 3}),
+        ("fs-coordinate", {"index": True}),
+        ("holder-crease", {"alpha": 0.5j}),
+        ("holder-crease", {"index": -1}),
+        ("constant", {"value": None}),
+    ],
+)
+def test_wrong_typed_or_out_of_range_parameter(name, params):
+    (key,) = params
+    with pytest.raises(InvalidParam, match=key):
+        observable_catalog(name, params)
+
+
 def test_affine_bump_norm_fixture():
     # recorded grid-scan value for the default C^2 bump
     obs = observable_catalog("affine-bump", {"chart": 2, "radius": 2.0})
