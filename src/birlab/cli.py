@@ -10,9 +10,7 @@ import argparse
 import sys
 
 from .errors import ConfigInvalid, LabError
-from .runner import load_config, run
-
-SUBCOMMANDS = ["genericity", "green", "measure", "cn", "correlation"]
+from .runner import EXPERIMENTS, load_config, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -21,7 +19,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for birational maps of the complex projective plane.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in SUBCOMMANDS:
+    for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")

@@ -175,8 +175,8 @@ class RationalMapRep:
         return np.moveaxis(J, (0, 1), (-2, -1))
 
 
-def identity_map(k: int = 2) -> RationalMapRep:
-    return linear_map(np.eye(k + 1))
+def identity_map() -> RationalMapRep:
+    return linear_map(np.eye(3))
 
 
 def linear_map(A: np.ndarray) -> RationalMapRep:
@@ -480,14 +480,14 @@ def random_unitary(seed: int, n: int = 3) -> np.ndarray:
     return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
-def roundtrip_residuals(pair: BirationalPair, count: int, seed: int, guard: float = 1e-3) -> np.ndarray:
-    """FS distances ||bwd(fwd(z)) - z|| on random points away from I(f)."""
+def roundtrip_residuals(pair: BirationalPair, count: int, seed: int) -> np.ndarray:
+    """FS distances ||bwd(fwd(z)) - z|| on random points at least 1e-3 away from I(f)."""
     from .projective import fs_distance_rows, sample_fs_rows
 
     Z = sample_fs_rows(count, seed, pair.k)
     keep = np.ones(len(Z), dtype=bool)
     for q in pair.ind_fwd:
-        keep &= fs_distance_rows(Z, np.broadcast_to(q.coords, Z.shape)) >= guard
+        keep &= fs_distance_rows(Z, np.broadcast_to(q.coords, Z.shape)) >= 1e-3
     Z = Z[keep]
     W, _, alive1 = step_rows(pair.fwd, Z)
     B, _, alive2 = step_rows(pair.bwd, W)

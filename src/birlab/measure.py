@@ -4,7 +4,7 @@ T+ wedge omega and the equilibrium measure T+ wedge T- are approximated by
 self-normalized importance sampling of pointwise form densities at finite
 pullback depth m.  Raw weights have unit mean in cohomology, which is the
 main health check; they are heavy-tailed near I(f^m), so they are clipped
-at a configurable quantile (then renormalized) and near-indeterminacy
+at the CLIP_QUANTILE quantile (then renormalized) and near-indeterminacy
 samples are dropped and counted rather than imputed.  A cloud left with
 no positive weight under the clip raises ``DegenerateCloud``.
 """
@@ -20,6 +20,7 @@ from .maps import BirationalPair, pullback_chain, step_rows, wedge_density_rows
 from .projective import sample_fs_rows
 
 DROP_WARN_FRACTION = 0.01
+CLIP_QUANTILE = 0.999
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,9 @@ class WeightedCloud:
     """Importance-sampled particle approximation of a positive measure.
 
     ``points`` holds canonical unit rows, shape (N, 3); ``weights`` are
-    nonnegative and sum to 1.  ``raw_mean``/``raw_stderr`` summarize the
+    nonnegative and sum to 1.  ``clip_quantile`` records the quantile the
+    weights were clipped at: CLIP_QUANTILE for the sampled clouds, 1.0 for
+    an unclipped one.  ``raw_mean``/``raw_stderr`` summarize the
     unnormalized pre-clip weights of the surviving samples (cohomological
     mass check: mean 1).
     """
@@ -51,10 +54,9 @@ class WeightedCloud:
         return self.dropped_count / total if total else 0.0
 
 
-def _finalize(Z, raw, alive, m, count, seed, clip_quantile) -> WeightedCloud:
+def _finalize(Z, raw, alive, m, count, seed) -> WeightedCloud:
     Z, raw = Z[alive], np.maximum(raw[alive], 0.0)
-    # at clip_quantile = 1 the cap is the maximum and the clip leaves raw as is
-    cap = np.quantile(raw, clip_quantile) if raw.any() else 0.0
+    cap = np.quantile(raw, CLIP_QUANTILE) if raw.any() else 0.0
     if cap <= 0:
         raise DegenerateCloud(
             f"no positive weight under the clip: {np.count_nonzero(raw)} of the "
@@ -66,38 +68,32 @@ def _finalize(Z, raw, alive, m, count, seed, clip_quantile) -> WeightedCloud:
         weights=w / w.sum(),
         depth_m=m,
         seed=seed,
-        clip_quantile=clip_quantile,
+        clip_quantile=CLIP_QUANTILE,
         dropped_count=int(count - alive.sum()),
         raw_mean=float(raw.mean()),
         raw_stderr=float(raw.std(ddof=1) / np.sqrt(len(raw))) if len(raw) > 1 else 0.0,
     )
 
 
-def _validate(m, count, clip_quantile):
+def _validate(m, count):
     if m < 0:
         raise InvalidParam("pullback depth m must be >= 0")
     if count < 1:
         raise InvalidParam("sample count must be >= 1")
-    if not 0.5 < clip_quantile <= 1.0:
-        raise InvalidParam("clip_quantile must lie in (0.5, 1]")
 
 
-def approx_T_plus_wedge_omega(
-    pair: BirationalPair, m: int, count: int, seed: int, clip_quantile: float = 0.999
-) -> WeightedCloud:
+def approx_T_plus_wedge_omega(pair: BirationalPair, m: int, count: int, seed: int) -> WeightedCloud:
     """Particle cloud for T+ wedge omega via T+ ~ d^{-m} (f^m)^* omega."""
-    _validate(m, count, clip_quantile)
+    _validate(m, count)
     Z = sample_fs_rows(count, seed, pair.k)
     H, alive, _ = pullback_chain(pair, Z, m, "fwd")
     raw = pair.d ** (-m) * np.real(np.trace(H, axis1=1, axis2=2)) / pair.k
-    return _finalize(Z, raw, alive, m, count, seed, clip_quantile)
+    return _finalize(Z, raw, alive, m, count, seed)
 
 
-def approx_mu(
-    pair: BirationalPair, m: int, count: int, seed: int, clip_quantile: float = 0.999
-) -> WeightedCloud:
+def approx_mu(pair: BirationalPair, m: int, count: int, seed: int) -> WeightedCloud:
     """Particle cloud for mu = T+ wedge T- at finite depth (k = 2 only)."""
-    _validate(m, count, clip_quantile)
+    _validate(m, count)
     if pair.k != 2:
         raise DimensionMismatch("equilibrium-measure cloud requires k = 2")
     Z = sample_fs_rows(count, seed, pair.k)
@@ -107,7 +103,7 @@ def approx_mu(
     raw = wedge_density_rows(
         pair.d ** (-m) * H_plus, pair.delta ** (-m) * H_minus
     )
-    return _finalize(Z, raw, alive, m, count, seed, clip_quantile)
+    return _finalize(Z, raw, alive, m, count, seed)
 
 
 def effective_sample_size(cloud: WeightedCloud) -> float:
@@ -126,7 +122,7 @@ def invariance_defect(cloud: WeightedCloud, pair: BirationalPair, obs) -> float:
     pushed_w = w[alive]
     total = pushed_w.sum()
     if total <= 0:
-        raise InvalidParam("every sample hit indeterminacy proximity")
+        raise DegenerateCloud("every sample hit indeterminacy proximity")
     pushed = float(np.sum(pushed_w * obs.fn(W[alive])) / total)
     plain = float(np.sum(w * obs.fn(cloud.points)))
     return abs(pushed - plain)

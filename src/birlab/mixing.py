@@ -39,8 +39,6 @@ class CnSequence:
     partial_sums: np.ndarray
     stderr: np.ndarray
     dropped_fraction: np.ndarray
-    depth_m: int
-    obs: object
 
 
 @dataclass(frozen=True)
@@ -48,9 +46,6 @@ class CorrelationSeries:
     """Correlation values by lag with bootstrap standard errors."""
 
     entries: list  # (lag, value, stderr, dropped_fraction)
-    seed: int
-    depth_m: int
-    count: int
 
 
 @dataclass(frozen=True)
@@ -166,8 +161,6 @@ def c_sequence(pair: BirationalPair, obs, n_max: int, nu_plus: WeightedCloud) ->
         partial_sums=s,
         stderr=np.array(err),
         dropped_fraction=np.array(dropped),
-        depth_m=nu_plus.depth_m,
-        obs=obs,
     )
 
 
@@ -200,9 +193,7 @@ def correlation_series(
         rng = _boot_rng(mu_cloud.seed, 200 + N)
         value, stderr = _weighted_cov_boot(mu_cloud.weights, a, b, alive, rng)
         entries.append((N, value, stderr, float(1.0 - alive.mean())))
-    return CorrelationSeries(
-        entries=entries, seed=mu_cloud.seed, depth_m=mu_cloud.depth_m, count=mu_cloud.count
-    )
+    return CorrelationSeries(entries=entries)
 
 
 def correlation_two_sided(
@@ -273,11 +264,12 @@ def _as_triples(series):
         return [(lag, value, stderr) for lag, value, stderr, _ in series.entries]
     if isinstance(series, CnSequence):
         return [(n, series.c[n], series.stderr[n]) for n in range(1, len(series.c))]
-    return [tuple(entry)[:3] for entry in series]
+    raise InvalidParam(f"decay_fit takes a CorrelationSeries or a CnSequence, not {type(series).__name__}")
 
 
 def decay_fit(series, seed: int = 0) -> DecayFit:
-    """Weighted least squares of log|value| against lag.
+    """Weighted least squares of log|value| against lag, on a
+    CorrelationSeries or on the c_1.. of a CnSequence.
 
     Entries below the noise floor (|value| < 3 stderr) or exactly zero are
     excluded; the fit window is the contiguous run of usable lags starting

@@ -8,6 +8,7 @@ the smoothness tag sets the exponent alpha of the proven rate.
 
 from __future__ import annotations
 
+import inspect
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, get_type_hints
@@ -24,14 +25,12 @@ NORM_CHART = 2
 
 @dataclass(frozen=True)
 class Observable:
+    """A named test function; ``fn`` maps unit rows ``(..., 3)`` to values ``(...)``."""
+
     name: str
-    params: dict
     smoothness: str  # "C1", "C2", or "Holder(alpha)"
     norm_estimate: float
     fn: Callable = field(compare=False)
-
-    def __call__(self, Z: np.ndarray) -> np.ndarray:
-        return self.fn(Z)
 
 
 def _bump_profile(r2: np.ndarray) -> np.ndarray:
@@ -143,11 +142,13 @@ def estimate_norm(fn, smoothness: str) -> float:
 # the values each parameter type that a builder annotates accepts
 _ACCEPTS = {int: numbers.Integral, float: numbers.Real, complex: numbers.Complex}
 
+# each builder with its smoothness tag and, where it is known exactly, its
+# norm; the tag is formatted with, and the norm called on, the builder's arguments
 _BUILDERS = {
-    "constant": (_make_constant, "C2"),
-    "affine-bump": (_make_affine_bump, "C2"),
-    "fs-coordinate": (_make_fs_coordinate, "C2"),
-    "holder-crease": (_make_holder_crease, None),
+    "constant": (_make_constant, "C2", lambda value: abs(value)),
+    "affine-bump": (_make_affine_bump, "C2", None),
+    "fs-coordinate": (_make_fs_coordinate, "C2", None),
+    "holder-crease": (_make_holder_crease, "Holder({alpha})", None),
 }
 
 
@@ -157,10 +158,10 @@ def observable_catalog(name: str, params: dict = None) -> Observable:
     ``params`` may name only the keyword parameters of the observable's
     builder, each with a number of the type that parameter is annotated with.
     """
-    params = dict(params or {})
+    params = params or {}
     if name not in _BUILDERS:
         raise InvalidParam(f"unknown observable {name!r}")
-    builder, smoothness = _BUILDERS[name]
+    builder, tag, exact_norm = _BUILDERS[name]
     kinds = get_type_hints(builder)
     unknown = sorted(set(params) - set(kinds))
     if unknown:
@@ -171,10 +172,8 @@ def observable_catalog(name: str, params: dict = None) -> Observable:
             raise InvalidParam(f"{name} parameter {key} must be a {kinds[key].__name__}, not {value!r}")
         values[key] = kinds[key](value)
     fn = builder(**values)
-    if smoothness is None:
-        smoothness = f"Holder({values.get('alpha', 0.5)})"
-    if name == "constant":
-        norm = abs(values.get("value", 1.0))
-    else:
-        norm = estimate_norm(fn, smoothness)
-    return Observable(name=name, params=params, smoothness=smoothness, norm_estimate=norm, fn=fn)
+    args = inspect.signature(builder).bind(**values)
+    args.apply_defaults()
+    smoothness = tag.format(**args.arguments)
+    norm = exact_norm(**args.arguments) if exact_norm else estimate_norm(fn, smoothness)
+    return Observable(name=name, smoothness=smoothness, norm_estimate=norm, fn=fn)

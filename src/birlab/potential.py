@@ -31,6 +31,9 @@ from .projective import ProjPoint, chart_disc, from_chart_rows
 SENTINEL_FLOOR = -1e3
 CALIBRATION_SIDE = 128
 CALIBRATION_RADIUS = 2.0
+# escape radius of green_plus_henon, raised to its R0 where that is larger;
+# G+ does not depend on it
+R_ESCAPE = 100.0
 
 
 def smoothstep(x):
@@ -166,12 +169,7 @@ def _escape(x, y, a, rev_coeffs, R, max_iter):
     return None, x, y
 
 
-def green_plus_henon(
-    pair: BirationalPair,
-    p_affine,
-    max_iter: int = 200,
-    R_escape: float = 100.0,
-) -> float:
+def green_plus_henon(pair: BirationalPair, p_affine, max_iter: int = 200) -> float:
     """Escape-rate Green function G+ for a Henon pair, on affine C^2.
 
     G+(z) = lim d^{-n} log+ ||f^n(z)||; 0 is reported for orbits that stay
@@ -192,15 +190,15 @@ def green_plus_henon(
     """
     if pair.meta.get("family") != "henon":
         raise InvalidParam("escape-rate Green function requires a Henon pair")
-    if max_iter < 1 or R_escape < 10:
-        raise InvalidParam("need max_iter >= 1 and R_escape >= 10")
+    if max_iter < 1:
+        raise InvalidParam("need max_iter >= 1")
     a = pair.meta["a"]
     coeffs = pair.meta["p_coeffs"]
     d = pair.d
     lc = coeffs[-1]
     # radius beyond which |y| >= max(|x|, R) forces monotone escape
     R0 = (sum(abs(c) for c in coeffs[:-1]) + abs(a) + 2.0) / abs(lc)
-    R = max(R_escape, R0)
+    R = max(R_ESCAPE, R0)
 
     x, y = complex(p_affine[0]), complex(p_affine[1])
     rev = tuple(reversed(coeffs))
@@ -210,7 +208,7 @@ def green_plus_henon(
     else:
         n, x, y = _escape(x, y, a, rev, R, max_iter)
     if n is None:
-        if max(abs(x), abs(y)) <= R_escape:
+        if max(abs(x), abs(y)) <= R_ESCAPE:
             return 0.0
         raise NonConvergence("orbit neither escaped nor stayed bounded; raise max_iter")
     if not (cmath.isfinite(x) and cmath.isfinite(y)):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllZero, ChartSingular
+from .errors import AllZero, ChartSingular, DimensionMismatch, InvalidParam
 
 PHASE_FLOOR = 1e-9
 CHART_THRESHOLD = 1e-6
@@ -57,13 +57,23 @@ class ProjPoint:
 
 
 def normalize(raw) -> ProjPoint:
-    """Canonical unit representative of a raw homogeneous tuple."""
-    arr = np.asarray(raw, dtype=complex)
+    """Canonical unit representative of a raw homogeneous tuple.
+
+    The tuple is first scaled by the power of two that brings its largest
+    real or imaginary part into [0.5, 1), so that the norm neither
+    underflows nor overflows; the scaling is exact, so a tuple of moderate
+    scale keeps its bits.
+    """
+    arr = np.array(raw, dtype=complex)
     if arr.ndim != 1 or len(arr) < 2:
         raise AllZero("need at least two homogeneous coordinates")
+    if not np.isfinite(arr).all():
+        raise InvalidParam(f"homogeneous coordinates must be finite, not {arr}")
     if np.max(np.abs(arr)) <= 1e-300:
         raise AllZero("all homogeneous coordinates are numerically zero")
-    return ProjPoint(canonicalize_rows(arr[None, :])[0])
+    parts = arr.view(float)
+    scaled = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex)
+    return ProjPoint(canonicalize_rows(scaled[None, :])[0])
 
 
 def fs_distance(p: ProjPoint, q: ProjPoint) -> float:
@@ -142,7 +152,7 @@ def tangent_frames(Z: np.ndarray) -> np.ndarray:
     Z = np.asarray(Z)
     N, m = Z.shape
     if m != 3:
-        raise ValueError("tangent frames implemented for k = 2 only")
+        raise DimensionMismatch("tangent frames implemented for k = 2 only")
     idx = np.argmin(np.abs(Z), axis=1)
     a = np.zeros_like(Z)
     a[np.arange(N), idx] = 1.0

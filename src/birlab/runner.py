@@ -70,60 +70,6 @@ def _as_list(value, name: str, length: int = None) -> list:
     return value
 
 
-class MapConfig(BaseModel):
-    model_config = ConfigDict(extra="forbid")
-    family: Literal["henon", "cremona_composed"]
-    params: dict = Field(default_factory=dict)
-
-
-class ObservableConfig(BaseModel):
-    model_config = ConfigDict(extra="forbid")
-    name: str
-    params: dict = Field(default_factory=dict)
-
-
-class ExperimentConfig(BaseModel):
-    model_config = ConfigDict(extra="forbid")
-    map: MapConfig
-    experiment: Literal["genericity", "green", "measure", "cn", "correlation"]
-    seed: int
-    depth_m: int = Field(3, ge=0)
-    count: int = 100000
-    n_max: Optional[int] = Field(None, ge=0)
-    N_max: Optional[int] = Field(None, ge=0)
-    observables: List[ObservableConfig] = Field(default_factory=list)
-    output_dir: str = "runs"
-    # green-specific knobs
-    depth_n: int = Field(4, ge=0)
-    cutoff_A: float = Field(2.0, gt=0)
-    grid_n: int = Field(32, ge=1)
-    grid_range: float = Field(2.0, gt=0)
-
-    @model_validator(mode="after")
-    def _check(self):
-        if self.experiment in MEASURE_EXPERIMENTS and self.count < MIN_MEASURE_COUNT:
-            raise ValueError(
-                f"count must be >= {MIN_MEASURE_COUNT} for measure-based experiments"
-            )
-        return self
-
-
-def load_config(data) -> ExperimentConfig:
-    """Validate a config dict (or JSON text/path) into an ExperimentConfig."""
-    if isinstance(data, (str, Path)):
-        path = Path(data)
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigInvalid(f"{path}: {exc}") from exc
-    try:
-        return ExperimentConfig.model_validate(data)
-    except ValidationError as exc:
-        first = exc.errors()[0]
-        loc = ".".join(str(p) for p in first["loc"]) or "<root>"
-        raise ConfigInvalid(f"{loc}: {first['msg']}") from exc
-
-
 def build_pair(cfg: MapConfig) -> BirationalPair:
     """The map pair of ``cfg``; a bad parameter is a ``ConfigInvalid`` naming it."""
     params = dict(cfg.params)
@@ -318,6 +264,62 @@ _RUNNERS = {
     "cn": _run_cn,
     "correlation": _run_correlation,
 }
+EXPERIMENTS = tuple(_RUNNERS)
+ExperimentName = Literal[EXPERIMENTS]
+
+
+class MapConfig(BaseModel):
+    model_config = ConfigDict(extra="forbid")
+    family: Literal["henon", "cremona_composed"]
+    params: dict = Field(default_factory=dict)
+
+
+class ObservableConfig(BaseModel):
+    model_config = ConfigDict(extra="forbid")
+    name: str
+    params: dict = Field(default_factory=dict)
+
+
+class ExperimentConfig(BaseModel):
+    model_config = ConfigDict(extra="forbid")
+    map: MapConfig
+    experiment: ExperimentName
+    seed: int
+    depth_m: int = Field(3, ge=0)
+    count: int = 100000
+    n_max: Optional[int] = Field(None, ge=0)
+    N_max: Optional[int] = Field(None, ge=0)
+    observables: List[ObservableConfig] = Field(default_factory=list)
+    output_dir: str = "runs"
+    # green-specific knobs
+    depth_n: int = Field(4, ge=0)
+    cutoff_A: float = Field(2.0, gt=0)
+    grid_n: int = Field(32, ge=1)
+    grid_range: float = Field(2.0, gt=0)
+
+    @model_validator(mode="after")
+    def _check(self):
+        if self.experiment in MEASURE_EXPERIMENTS and self.count < MIN_MEASURE_COUNT:
+            raise ValueError(
+                f"count must be >= {MIN_MEASURE_COUNT} for measure-based experiments"
+            )
+        return self
+
+
+def load_config(data) -> ExperimentConfig:
+    """Validate a config dict (or JSON text/path) into an ExperimentConfig."""
+    if isinstance(data, (str, Path)):
+        path = Path(data)
+        try:
+            data = json.loads(path.read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigInvalid(f"{path}: {exc}") from exc
+    try:
+        return ExperimentConfig.model_validate(data)
+    except ValidationError as exc:
+        first = exc.errors()[0]
+        loc = ".".join(str(p) for p in first["loc"]) or "<root>"
+        raise ConfigInvalid(f"{loc}: {first['msg']}") from exc
 
 
 def run(config: ExperimentConfig) -> dict:

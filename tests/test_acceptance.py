@@ -21,6 +21,7 @@ from birlab.maps import (
 )
 from birlab.measure import approx_T_plus_wedge_omega, approx_mu
 from birlab.mixing import (
+    CorrelationSeries,
     c_sequence,
     correlation_series,
     decay_fit,
@@ -252,7 +253,7 @@ def test_criterion_9_two_sided_surface(slow_henon, mu_slow, bump):
 def test_criterion_10_estimator_exactness(classic):
     rate = 0.37
     planted = [(n, 2.5 * math.exp(-rate * n), 0.0, 0.0) for n in range(8)]
-    fit = decay_fit(planted)
+    fit = decay_fit(CorrelationSeries(entries=planted))
     planted_ok = abs(fit.rate - rate) <= 1e-12
 
     cloud = approx_mu(classic, 1, 20000, SEED)

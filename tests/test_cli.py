@@ -17,6 +17,7 @@ from birlab.observables import observable_catalog
 from birlab.runner import build_pair, compare_to_theory, load_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _write_config(path, payload):
@@ -320,6 +321,15 @@ def test_theory_alpha_comes_from_the_observables(tmp_path, monkeypatch, experime
     theory = json.loads((tmp_path / "out" / f"{experiment}.json").read_text())["theory"]
     assert theory["alpha"] == alpha
     assert theory["theoretical_rate"] == theoretical_rate(build_pair(load_config(payload).map), alpha, True)
+
+
+def test_readme_config_table_lists_every_field():
+    text = README.read_text()
+    (count,) = re.findall(r"A config has (\d+) fields", text)
+    table = text[text.index("| field | default | read by |"):].split("\n\n")[0]
+    names = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+    assert names == list(runner.ExperimentConfig.model_fields)
+    assert int(count) == len(names)
 
 
 def test_config_alpha_field_is_gone(tmp_path):

@@ -1,9 +1,14 @@
-"""Each concept has one kernel: the layering of ``src/birlab``, read with ``ast``."""
+"""Each concept has one kernel: the layering of ``src/birlab``, read with ``ast``,
+and the parameters and fields deleted as unused stay deleted."""
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
+
+from birlab import maps, measure, mixing, observables, potential
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "birlab"
 
@@ -61,3 +66,34 @@ def test_removed_pass_through_names_stay_gone(name):
             elif isinstance(node, ast.alias):
                 defined.add(node.asname or node.name)
     assert name not in defined
+
+
+# what each public entry point takes and each result type holds, and no more
+SIGNATURES = {
+    "measure.approx_mu": (measure.approx_mu, ["pair", "m", "count", "seed"]),
+    "measure.approx_T_plus_wedge_omega": (measure.approx_T_plus_wedge_omega, ["pair", "m", "count", "seed"]),
+    "potential.green_plus_henon": (potential.green_plus_henon, ["pair", "p_affine", "max_iter"]),
+    "maps.roundtrip_residuals": (maps.roundtrip_residuals, ["pair", "count", "seed"]),
+    "maps.identity_map": (maps.identity_map, []),
+}
+FIELDS = {
+    "CnSequence": (mixing.CnSequence, ["c", "partial_sums", "stderr", "dropped_fraction"]),
+    "CorrelationSeries": (mixing.CorrelationSeries, ["entries"]),
+    "Observable": (observables.Observable, ["name", "smoothness", "norm_estimate", "fn"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_removed_parameters_stay_gone(name):
+    fn, params = SIGNATURES[name]
+    assert list(inspect.signature(fn).parameters) == params
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_removed_fields_stay_gone(name):
+    cls, names = FIELDS[name]
+    assert [f.name for f in dataclasses.fields(cls)] == names
+
+
+def test_observables_are_called_through_fn_only():
+    assert "__call__" not in vars(observables.Observable)

@@ -74,8 +74,6 @@ def test_validation_errors(henon):
         approx_mu(henon, -1, 1000, 1)
     with pytest.raises(InvalidParam):
         approx_mu(henon, 1, 0, 1)
-    with pytest.raises(InvalidParam):
-        approx_mu(henon, 1, 1000, 1, clip_quantile=0.4)
 
 
 def _broken_chain(broken):
@@ -136,6 +134,17 @@ def test_invariance_defect_positive_at_depth_zero(henon):
     assert invariance_defect(cloud, henon, coord) > 0.01
 
 
+def test_invariance_defect_all_images_dead_is_degenerate(henon):
+    # every point of this cloud is I(f) = [1:0:0], so no image survives the step
+    ind = np.tile(henon.ind_fwd[0].coords, (4, 1))
+    cloud = WeightedCloud(
+        points=ind, weights=np.full(4, 0.25), depth_m=0, seed=0,
+        clip_quantile=1.0, dropped_count=0, raw_mean=1.0, raw_stderr=0.0,
+    )
+    with pytest.raises(DegenerateCloud):
+        invariance_defect(cloud, henon, observable_catalog("constant"))
+
+
 def test_invariance_defect_decreases_with_depth(henon):
     # frozen fixed-seed regression: deeper clouds are closer to invariant
     bump = observable_catalog("affine-bump", {"chart": 0, "cx": 0.0, "cy": 0.0, "radius": 2.0})
@@ -153,6 +162,6 @@ def test_invariance_defect_decreases_with_depth(henon):
 
 
 def test_clip_quantile_reported(henon):
-    cloud = approx_mu(henon, 2, 5000, 9, clip_quantile=0.99)
-    assert cloud.clip_quantile == 0.99
+    cloud = approx_mu(henon, 2, 5000, 9)
+    assert cloud.clip_quantile == measure.CLIP_QUANTILE == 0.999
     assert cloud.depth_m == 2 and cloud.seed == 9

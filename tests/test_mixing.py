@@ -40,7 +40,6 @@ def nu_small(henon):
 def _combine(a, phi1, b, phi2):
     return Observable(
         name="combo",
-        params={},
         smoothness="C2",
         norm_estimate=abs(a) * phi1.norm_estimate + abs(b) * phi2.norm_estimate,
         fn=lambda Z: a * phi1.fn(Z) + b * phi2.fn(Z),
@@ -248,7 +247,7 @@ def test_decay_fit_recovers_planted_rate():
     entries = [(N, 2.0 ** (-N / 2), 1e-6, 0.0) for N in range(12)]
     from birlab.mixing import CorrelationSeries
 
-    fit = decay_fit(CorrelationSeries(entries=entries, seed=0, depth_m=0, count=0))
+    fit = decay_fit(CorrelationSeries(entries=entries))
     assert abs(fit.rate - rate) < 1e-12
     assert abs(fit.r_squared - 1.0) < 1e-12
     assert fit.ci_low <= fit.rate <= fit.ci_high
@@ -258,7 +257,7 @@ def test_decay_fit_constant_series():
     entries = [(N, 0.25, 1e-6, 0.0) for N in range(8)]
     from birlab.mixing import CorrelationSeries
 
-    fit = decay_fit(CorrelationSeries(entries=entries, seed=0, depth_m=0, count=0))
+    fit = decay_fit(CorrelationSeries(entries=entries))
     assert abs(fit.rate) < 1e-12
 
 
@@ -267,22 +266,27 @@ def test_decay_fit_noise_floor_rejection():
 
     entries = [(N, 1e-9, 1.0, 0.0) for N in range(8)]
     with pytest.raises(InsufficientSignal):
-        decay_fit(CorrelationSeries(entries=entries, seed=0, depth_m=0, count=0))
+        decay_fit(CorrelationSeries(entries=entries))
     short = [(0, 1.0, 1e-6, 0.0), (1, 0.5, 1e-6, 0.0)]
     with pytest.raises(InsufficientSignal):
-        decay_fit(CorrelationSeries(entries=short, seed=0, depth_m=0, count=0))
+        decay_fit(CorrelationSeries(entries=short))
 
 
 def test_decay_fit_on_cn_sequence_skips_c0():
     # planted delta^-n magnitudes on the c_n tail; c_0 is excluded by design
-    const = observable_catalog("constant", {"value": 1.0})
     c = np.array([5.0] + [2.0 ** (-n) for n in range(1, 9)])
     cs = CnSequence(
         c=c, partial_sums=np.cumsum(c), stderr=np.full(len(c), 1e-9),
-        dropped_fraction=np.zeros(len(c)), depth_m=0, obs=const,
+        dropped_fraction=np.zeros(len(c)),
     )
     fit = decay_fit(cs)
     assert abs(fit.rate - math.log(2)) < 1e-12
+
+
+def test_decay_fit_rejects_plain_sequences():
+    entries = [(N, 2.0 ** (-N / 2), 1e-6, 0.0) for N in range(12)]
+    with pytest.raises(InvalidParam, match="list"):
+        decay_fit(entries)
 
 
 def test_rates_for_generic_family():

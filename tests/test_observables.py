@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from birlab import observables
 from birlab.errors import InvalidParam
 from birlab.observables import observable_catalog, smoothness_alpha
 from birlab.projective import canonicalize_rows, sample_fs_rows
@@ -9,22 +10,32 @@ from birlab.projective import canonicalize_rows, sample_fs_rows
 def test_constant_observable():
     obs = observable_catalog("constant", {"value": 2.5})
     Z = sample_fs_rows(100, 1)
-    assert np.all(obs(Z) == 2.5)
+    assert np.all(obs.fn(Z) == 2.5)
     assert obs.norm_estimate == 2.5
     assert obs.smoothness == "C2"
+
+
+def test_catalog_reads_the_builders_defaults(monkeypatch):
+    # the holder-crease tag sets the proven rate, so it must follow the builder's alpha
+    monkeypatch.setattr(observables._make_holder_crease, "__defaults__", (0.25, 0, 0.4))
+    monkeypatch.setattr(observables._make_constant, "__defaults__", (-3.0,))
+    assert observable_catalog("holder-crease").smoothness == "Holder(0.25)"
+    const = observable_catalog("constant")
+    assert const.norm_estimate == 3.0
+    assert np.all(const.fn(sample_fs_rows(10, 1)) == -3.0)
 
 
 def test_affine_bump_support_and_range():
     obs = observable_catalog("affine-bump", {"chart": 2, "cx": 0.0, "cy": 0.0, "radius": 1.0})
     # value 1 at the center, 0 outside the radius, in (0,1) strictly inside
     center = canonicalize_rows(np.array([[0.0, 0.0, 1.0]], dtype=complex))
-    assert abs(obs(center)[0] - 1.0) < 1e-14
+    assert abs(obs.fn(center)[0] - 1.0) < 1e-14
     outside = canonicalize_rows(np.array([[2.0, 0.0, 1.0]], dtype=complex))
-    assert obs(outside)[0] == 0.0
+    assert obs.fn(outside)[0] == 0.0
     mid = canonicalize_rows(np.array([[0.5, 0.0, 1.0]], dtype=complex))
-    assert 0.0 < obs(mid)[0] < 1.0
+    assert 0.0 < obs.fn(mid)[0] < 1.0
     Z = sample_fs_rows(5000, 2)
-    vals = obs(Z)
+    vals = obs.fn(Z)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
 
 
@@ -32,7 +43,7 @@ def test_affine_bump_chart_independence_of_scale():
     # evaluating on any representative gives the same value (homogeneous)
     obs = observable_catalog("affine-bump", {"chart": 2, "radius": 2.0})
     Z = sample_fs_rows(100, 3)
-    assert np.allclose(obs(Z), obs(Z * np.exp(0.7j)), atol=1e-12)
+    assert np.allclose(obs.fn(Z), obs.fn(Z * np.exp(0.7j)), atol=1e-12)
 
 
 def test_affine_bump_rejects_bad_radius():
@@ -42,7 +53,7 @@ def test_affine_bump_rejects_bad_radius():
 
 def test_fs_coordinate_bounded_and_sums_to_one():
     Z = sample_fs_rows(1000, 4)
-    total = sum(observable_catalog("fs-coordinate", {"index": j})(Z) for j in range(3))
+    total = sum(observable_catalog("fs-coordinate", {"index": j}).fn(Z) for j in range(3))
     assert np.allclose(total, 1.0, atol=1e-12)
 
 
@@ -116,7 +127,7 @@ def test_norm_estimate_at_least_sup():
     ):
         obs = observable_catalog(name, params)
         Z = sample_fs_rows(20000, 5)
-        assert obs.norm_estimate >= np.max(np.abs(obs(Z))) - 1e-9
+        assert obs.norm_estimate >= np.max(np.abs(obs.fn(Z))) - 1e-9
 
 
 def test_smoothness_alpha():

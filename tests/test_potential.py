@@ -213,21 +213,22 @@ def test_green_nonnegative_random(henon):
 
 def test_green_nonconvergence(henon):
     with pytest.raises(NonConvergence):
-        green_plus_henon(henon, (1e200, 1e150), max_iter=1, R_escape=10)
+        green_plus_henon(henon, (1e200, 1e150), max_iter=1)
 
 
 NON_FINITE_ESCAPE = "non-finite escape point"
 
 
-def _green_reference(pair, p_affine, max_iter=200, R_escape=100.0):
+def _green_reference(pair, p_affine, max_iter=200):
     """The escape loop of ``green_plus_henon`` as it ran on complex values only
     (one nested Horner call and one ``max`` per step), kept as the bit-level oracle.
     Where the orbit escapes to a non-finite point it returns NON_FINITE_ESCAPE,
     not the inf or NaN its tail would give."""
     if pair.meta.get("family") != "henon":
         raise InvalidParam("escape-rate Green function requires a Henon pair")
-    if max_iter < 1 or R_escape < 10:
-        raise InvalidParam("need max_iter >= 1 and R_escape >= 10")
+    if max_iter < 1:
+        raise InvalidParam("need max_iter >= 1")
+    R_escape = 100.0
     a = pair.meta["a"]
     coeffs = pair.meta["p_coeffs"]
     d = pair.d
@@ -279,7 +280,7 @@ GREEN_MAPS = {
     "slow": lambda: make_henon(0.05, [0.0, 0.0, 1.0]),
     "complex_a": lambda: make_henon(0.3 + 0.1j, [-1.2, 0.0, 1.0]),
 }
-GREEN_SETTINGS = [(200, 100.0), (1, 10.0), (400, 1e3)]
+GREEN_MAX_ITER = [200, 1, 400]
 SPECIAL_POINTS = [
     (math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, math.inf), (-math.inf, 1.0),
     (0.0, -math.inf), (math.inf, math.inf), (math.nan, math.inf), (math.inf, math.nan),
@@ -303,22 +304,22 @@ def _f_image(pair, x, y):
     return y, sum(c * y**i for i, c in enumerate(coeffs)) - a * x
 
 
-def _green_outcome(fn, pair, pt, max_iter, R_escape):
+def _green_outcome(fn, pair, pt, max_iter):
     try:
-        return fn(pair, pt, max_iter, R_escape)
+        return fn(pair, pt, max_iter)
     except Exception as exc:  # the oracle compares the exception type
         return type(exc)
 
 
-def _assert_green_bits(pair, points, max_iter=200, R_escape=100.0):
+def _assert_green_bits(pair, points, max_iter=200):
     """green_plus_henon equals the reference bit for bit (sign of zero and
     NaN included) or raises the same exception type, and raises
     NonConvergence where the reference escapes to a non-finite point;
     returns the values."""
     out = []
     for pt in points:
-        got = _green_outcome(green_plus_henon, pair, pt, max_iter, R_escape)
-        ref = _green_outcome(_green_reference, pair, pt, max_iter, R_escape)
+        got = _green_outcome(green_plus_henon, pair, pt, max_iter)
+        ref = _green_outcome(_green_reference, pair, pt, max_iter)
         if ref is NON_FINITE_ESCAPE:
             same = got is NonConvergence
         elif isinstance(ref, float) and isinstance(got, float):
@@ -327,7 +328,7 @@ def _assert_green_bits(pair, points, max_iter=200, R_escape=100.0):
             )
         else:
             same = got is ref
-        assert same, (pt, max_iter, R_escape, got, ref)
+        assert same, (pt, max_iter, got, ref)
         out.append(got)
     return out
 
@@ -347,8 +348,8 @@ def test_green_bits_on_complex_points(henon):
 
 
 @pytest.mark.parametrize("name", sorted(GREEN_MAPS))
-@pytest.mark.parametrize("max_iter, R_escape", GREEN_SETTINGS)
-def test_green_bits_across_maps_and_settings(name, max_iter, R_escape):
+@pytest.mark.parametrize("max_iter", GREEN_MAX_ITER)
+def test_green_bits_across_maps_and_settings(name, max_iter):
     pair = GREEN_MAPS[name]()
     grid = _pointwise_grid()[::16]
     rng = np.random.default_rng(5)
@@ -356,7 +357,7 @@ def test_green_bits_across_maps_and_settings(name, max_iter, R_escape):
     # a 1e-300 imaginary part must take the complex path and still agree
     tiny = [(x + 1e-300j, y) for x, y in grid[::4]] + [(x, y + 1e-300j) for x, y in grid[1::4]]
     pts = grid + [_f_image(pair, x, y) for x, y in grid[::2]] + cplx + tiny + SPECIAL_POINTS
-    _assert_green_bits(pair, pts, max_iter, R_escape)
+    _assert_green_bits(pair, pts, max_iter)
 
 
 def test_green_bits_where_a_real_orbit_overflows():

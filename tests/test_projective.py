@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from birlab.errors import AllZero, ChartSingular
+from birlab.errors import AllZero, ChartSingular, DimensionMismatch, InvalidParam
 from birlab.projective import (
     ProjPoint,
     canonicalize_rows,
@@ -25,6 +25,27 @@ def test_normalize_already_canonical():
 def test_normalize_removes_phase_and_scale():
     p = normalize([2j, 0, 0])
     assert np.allclose(p.coords, [1, 0, 0], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "raw, expected",
+    [
+        # |z|^2 is subnormal, or underflows or overflows, unless the tuple is scaled first
+        ([1e-160, 0, 1e-160], [2**-0.5, 0, 2**-0.5]),
+        ([1e-200, 0, 0], [1, 0, 0]),
+        ([1e200, 0, 0], [1, 0, 0]),
+        ([0, -3e-250j, 4e-250], [0, 0.6, 0.8j]),
+        ([1e300, 1e300, 0], [2**-0.5, 2**-0.5, 0]),
+    ],
+)
+def test_normalize_at_the_ends_of_the_float_range(raw, expected):
+    assert np.allclose(normalize(raw).coords, expected, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("raw", [[np.inf, 0, 0], [np.nan, 1, 0], [1, complex(0, np.inf), 0]])
+def test_normalize_rejects_non_finite_coordinates(raw):
+    with pytest.raises(InvalidParam):
+        normalize(raw)
 
 
 def test_normalize_unit_vector():
@@ -157,6 +178,11 @@ def test_tangent_frames_orthonormal():
     assert np.max(np.abs(G - eye)) < 1e-10
     inner = np.einsum("ni,nik->nk", np.conj(Z), B)
     assert np.max(np.abs(inner)) < 1e-10
+
+
+def test_tangent_frames_require_the_plane():
+    with pytest.raises(DimensionMismatch):
+        tangent_frames(sample_fs_rows(10, 3, k=3))
 
 
 def test_from_chart_rows_inverts_to_chart():
