@@ -260,11 +260,28 @@ def split_lags(pair: BirationalPair, N: int):
 
 
 def _as_triples(series):
+    """(lags, values, stderrs) as float arrays: every lag of a
+    CorrelationSeries, or the c_1.. of a CnSequence."""
     if isinstance(series, CorrelationSeries):
-        return [(lag, value, stderr) for lag, value, stderr, _ in series.entries]
+        lags, values, stderrs, _ = np.array(series.entries, dtype=float).reshape(-1, 4).T
+        return lags, values, stderrs
     if isinstance(series, CnSequence):
-        return [(n, series.c[n], series.stderr[n]) for n in range(1, len(series.c))]
+        c = np.asarray(series.c, dtype=float)
+        return np.arange(1.0, len(c)), c[1:], np.asarray(series.stderr, dtype=float)[1:]
     raise InvalidParam(f"decay_fit takes a CorrelationSeries or a CnSequence, not {type(series).__name__}")
+
+
+def _wls(x, y, w):
+    """(intercept, slope) of the weighted least-squares line of y against x,
+    fitted along the last axis; a row whose x has no spread gets slope 0."""
+    W = w.sum(axis=-1)
+    xm = np.sum(w * x, axis=-1) / W
+    ym = np.sum(w * y, axis=-1) / W
+    dx = x - xm[..., None]
+    sxx = np.sum(w * dx**2, axis=-1)
+    sxy = np.sum(w * dx * (y - ym[..., None]), axis=-1)
+    slope = np.divide(sxy, sxx, out=np.zeros_like(sxx), where=sxx != 0)
+    return ym - slope * xm, slope
 
 
 def decay_fit(series, seed: int = 0) -> DecayFit:
@@ -274,41 +291,23 @@ def decay_fit(series, seed: int = 0) -> DecayFit:
     Entries below the noise floor (|value| < 3 stderr) or exactly zero are
     excluded; the fit window is the contiguous run of usable lags starting
     at the first usable one.  The rate CI comes from N_FIT_BOOT resamples
-    of the fitted lags.
+    of the fitted lags, drawn at once and refitted as rows of ``_wls``; a
+    resample that draws a single lag has no slope and is left out.
     """
-    triples = _as_triples(series)
-    usable = []
-    started = False
-    for lag, value, stderr in triples:
-        ok = value != 0 and abs(value) >= NOISE_FLOOR_SIGMAS * stderr
-        if ok:
-            usable.append((lag, value, stderr))
-            started = True
-        elif started:
-            break
-    if len(usable) < 3:
+    lags, values, stderrs = _as_triples(series)
+    usable = (values != 0) & (np.abs(values) >= NOISE_FLOOR_SIGMAS * stderrs)
+    start = int(np.argmax(usable)) if usable.any() else len(usable)
+    window = slice(start, start + int(np.logical_and.accumulate(usable[start:]).sum()))
+    lags, values, stderrs = lags[window], np.abs(values[window]), stderrs[window]
+    if len(lags) < 3:
         raise InsufficientSignal("fewer than 3 entries above the noise floor")
-    lags = np.array([u[0] for u in usable], dtype=float)
-    y = np.log(np.abs([u[1] for u in usable]))
-    stderrs = np.array([u[2] for u in usable], dtype=float)
-    values = np.abs([u[1] for u in usable])
+    y = np.log(values)
     if np.all(stderrs == 0):
         weights = np.ones_like(y)
     else:
-        sigma_log = np.maximum(stderrs / values, 1e-12)
-        weights = 1.0 / sigma_log**2
+        weights = 1.0 / np.maximum(stderrs / values, 1e-12) ** 2
 
-    def wls(x, yy, w):
-        W = w.sum()
-        xm = np.sum(w * x) / W
-        ym = np.sum(w * yy) / W
-        sxx = np.sum(w * (x - xm) ** 2)
-        if sxx == 0:
-            return ym, 0.0
-        slope = np.sum(w * (x - xm) * (yy - ym)) / sxx
-        return ym - slope * xm, slope
-
-    intercept, slope = wls(lags, y, weights)
+    intercept, slope = _wls(lags, y, weights)
     resid = y - (intercept + slope * lags)
     ss_res = float(np.sum(weights * resid**2))
     ym = np.sum(weights * y) / weights.sum()
@@ -316,14 +315,9 @@ def decay_fit(series, seed: int = 0) -> DecayFit:
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
 
     rng = np.random.default_rng([0xF17, seed])
-    rates = []
-    for _ in range(N_FIT_BOOT):
-        idx = rng.integers(0, len(lags), size=len(lags))
-        if len(np.unique(lags[idx])) < 2:
-            continue
-        _, b = wls(lags[idx], y[idx], weights[idx])
-        rates.append(-b)
-    if rates:
+    idx = rng.integers(0, len(lags), size=(N_FIT_BOOT, len(lags)))
+    rates = -_wls(lags[idx], y[idx], weights[idx])[1][(idx != idx[:, :1]).any(axis=1)]
+    if rates.size:
         ci_low, ci_high = np.percentile(rates, [2.5, 97.5])
     else:
         ci_low = ci_high = -slope

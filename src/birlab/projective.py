@@ -24,10 +24,21 @@ CHART_THRESHOLD = 1e-6
 def canonicalize_rows(Z: np.ndarray) -> np.ndarray:
     """Unit-normalize each row and fix its global phase.
 
+    A row whose norm is not finite or lies outside (1e-150, 1e150) is first
+    scaled exactly by the power of two that brings its largest real or
+    imaginary part into [0.5, 1), so that its norm neither underflows nor
+    overflows; other rows are divided by their norm as they are.
     Rows must be nonzero; the caller is responsible for filtering.
     """
     Z = np.asarray(Z, dtype=complex)
-    norms = np.linalg.norm(Z, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(Z, axis=-1, keepdims=True)
+    far = ~((norms > 1e-150) & (norms < 1e150))[..., 0]
+    if far.any():
+        parts = Z[far].view(float)
+        Z = Z.copy()
+        Z[far] = np.ldexp(parts, -np.frexp(np.abs(parts).max(axis=-1))[1][:, None]).view(complex)
+        norms[far] = np.linalg.norm(Z[far], axis=-1, keepdims=True)
     return fix_phase_rows(Z / norms)
 
 
@@ -57,23 +68,16 @@ class ProjPoint:
 
 
 def normalize(raw) -> ProjPoint:
-    """Canonical unit representative of a raw homogeneous tuple.
-
-    The tuple is first scaled by the power of two that brings its largest
-    real or imaginary part into [0.5, 1), so that the norm neither
-    underflows nor overflows; the scaling is exact, so a tuple of moderate
-    scale keeps its bits.
-    """
+    """Canonical unit representative of a finite, nonzero homogeneous tuple,
+    at any scale of the float range: a one-row call of ``canonicalize_rows``."""
     arr = np.array(raw, dtype=complex)
     if arr.ndim != 1 or len(arr) < 2:
-        raise AllZero("need at least two homogeneous coordinates")
+        raise InvalidParam(f"need a flat tuple of at least two homogeneous coordinates, not shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise InvalidParam(f"homogeneous coordinates must be finite, not {arr}")
-    if np.max(np.abs(arr)) <= 1e-300:
-        raise AllZero("all homogeneous coordinates are numerically zero")
-    parts = arr.view(float)
-    scaled = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(complex)
-    return ProjPoint(canonicalize_rows(scaled[None, :])[0])
+    if not arr.any():
+        raise AllZero("all homogeneous coordinates are zero")
+    return ProjPoint(canonicalize_rows(arr[None, :])[0])
 
 
 def fs_distance(p: ProjPoint, q: ProjPoint) -> float:

@@ -284,7 +284,7 @@ class ExperimentConfig(BaseModel):
     model_config = ConfigDict(extra="forbid")
     map: MapConfig
     experiment: ExperimentName
-    seed: int
+    seed: int = Field(ge=0)
     depth_m: int = Field(3, ge=0)
     count: int = 100000
     n_max: Optional[int] = Field(None, ge=0)

@@ -362,6 +362,7 @@ def test_removed_config_fields_are_rejected(tmp_path, config, field, value):
     "config, field, value",
     [
         ("measure_henon", "depth_m", -1),
+        ("measure_henon", "seed", -1),
         ("cn_henon", "n_max", -1),
         ("correlation_henon", "N_max", -1),
         ("genericity_henon", "N_max", -1),

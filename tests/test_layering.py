@@ -4,6 +4,7 @@ and the parameters and fields deleted as unused stay deleted."""
 import ast
 import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -97,3 +98,27 @@ def test_removed_fields_stay_gone(name):
 
 def test_observables_are_called_through_fn_only():
     assert "__call__" not in vars(observables.Observable)
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+@pytest.mark.parametrize("name", ["decay_fit", "_as_triples", "_wls"])
+def test_the_decay_fit_has_no_python_loop(name):
+    (fn,) = [
+        node for node in ast.walk(ast.parse((SRC / "mixing.py").read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    assert [type(node).__name__ for node in ast.walk(fn) if isinstance(node, LOOPS)] == []
+
+
+def test_wls_is_the_only_least_squares_code():
+    # the point fit and every bootstrap replicate share the one row kernel
+    fitters = re.compile(r"wls|least_?squares|lstsq|polyfit|linregress", re.I)
+    assert _innermost(
+        lambda node: isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and fitters.search(node.name)
+    ) == {("mixing", "_wls")}
+    for attr in ("lstsq", "polyfit", "linregress"):
+        assert _innermost(_calls(attr)) == set()
+    calls = _innermost(lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_wls")
+    assert calls == {("mixing", "decay_fit")}

@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birlab.errors import DegenerateCloud, InsufficientSignal, InvalidParam
 from birlab.maps import eval_point, make_cremona_composed, make_henon, random_unitary
 from birlab.measure import WeightedCloud, approx_T_plus_wedge_omega, approx_mu
 from birlab.mixing import (
+    N_FIT_BOOT,
+    NOISE_FLOOR_SIGMAS,
     CnSequence,
+    CorrelationSeries,
+    DecayFit,
     OrbitTable,
     c_sequence,
     correlation,
@@ -287,6 +293,100 @@ def test_decay_fit_rejects_plain_sequences():
     entries = [(N, 2.0 ** (-N / 2), 1e-6, 0.0) for N in range(12)]
     with pytest.raises(InvalidParam, match="list"):
         decay_fit(entries)
+
+
+def _decay_fit_loop(series, seed=0):
+    """The fit as one Python iteration per bootstrap replicate: the
+    reference that the batched ``decay_fit`` must match bit for bit."""
+    if isinstance(series, CorrelationSeries):
+        triples = [(lag, value, stderr) for lag, value, stderr, _ in series.entries]
+    else:
+        triples = [(n, series.c[n], series.stderr[n]) for n in range(1, len(series.c))]
+    usable = []
+    for lag, value, stderr in triples:
+        if value != 0 and abs(value) >= NOISE_FLOOR_SIGMAS * stderr:
+            usable.append((lag, value, stderr))
+        elif usable:
+            break
+    if len(usable) < 3:
+        raise InsufficientSignal("fewer than 3 entries above the noise floor")
+    lags = np.array([u[0] for u in usable], dtype=float)
+    y = np.log(np.abs([u[1] for u in usable]))
+    stderrs = np.array([u[2] for u in usable], dtype=float)
+    values = np.abs([u[1] for u in usable])
+    if np.all(stderrs == 0):
+        weights = np.ones_like(y)
+    else:
+        weights = 1.0 / np.maximum(stderrs / values, 1e-12) ** 2
+
+    def wls(x, yy, w):
+        W = w.sum()
+        xm = np.sum(w * x) / W
+        ym = np.sum(w * yy) / W
+        sxx = np.sum(w * (x - xm) ** 2)
+        if sxx == 0:
+            return ym, 0.0
+        slope = np.sum(w * (x - xm) * (yy - ym)) / sxx
+        return ym - slope * xm, slope
+
+    intercept, slope = wls(lags, y, weights)
+    resid = y - (intercept + slope * lags)
+    ss_res = float(np.sum(weights * resid**2))
+    ym = np.sum(weights * y) / weights.sum()
+    ss_tot = float(np.sum(weights * (y - ym) ** 2))
+    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    rng = np.random.default_rng([0xF17, seed])
+    rates = []
+    for _ in range(N_FIT_BOOT):
+        idx = rng.integers(0, len(lags), size=len(lags))
+        if len(np.unique(lags[idx])) < 2:
+            continue
+        rates.append(-wls(lags[idx], y[idx], weights[idx])[1])
+    ci_low, ci_high = np.percentile(rates, [2.5, 97.5]) if rates else (-slope, -slope)
+    return DecayFit(
+        rate=float(-slope), intercept=float(intercept), r_squared=float(r2),
+        ci_low=float(ci_low), ci_high=float(ci_high), fit_window=(int(lags[0]), int(lags[-1])),
+    )
+
+
+# one entry: its kind, log-magnitude, sign and stderr / |value|; a zero
+# entry or one under the noise floor (ratio above 1/3) ends the fit window
+_ENTRY = st.tuples(
+    st.sampled_from(["usable"] * 6 + ["zero", "floor"]),
+    st.floats(-30.0, 5.0),
+    st.booleans(),
+    st.one_of(st.just(0.0), st.floats(0.0, 0.3)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    entries=st.lists(_ENTRY, min_size=1, max_size=14),
+    slope=st.floats(-2.0, 2.0),
+    zero_stderrs=st.booleans(),
+    as_cn=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_decay_fit_matches_the_replicate_loop(entries, slope, zero_stderrs, as_cn, seed):
+    values, stderrs = [], []
+    for n, (kind, logmag, negative, ratio) in enumerate(entries):
+        value = 0.0 if kind == "zero" else (-1.0 if negative else 1.0) * math.exp(logmag - slope * n)
+        values.append(value)
+        ratio += 0.34 if kind == "floor" else 0.0
+        stderrs.append(0.0 if zero_stderrs else ratio * (abs(value) or 1.0))
+    if as_cn:
+        c = np.array(values)
+        series = CnSequence(c=c, partial_sums=np.cumsum(c), stderr=np.array(stderrs),
+                            dropped_fraction=np.zeros(len(c)))
+    else:
+        series = CorrelationSeries(entries=[(n, v, e, 0.0) for n, (v, e) in enumerate(zip(values, stderrs))])
+    try:
+        want = repr(_decay_fit_loop(series, seed))
+    except InsufficientSignal:
+        with pytest.raises(InsufficientSignal):
+            decay_fit(series, seed)
+        return
+    assert repr(decay_fit(series, seed)) == want
 
 
 def test_rates_for_generic_family():

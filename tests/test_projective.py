@@ -5,6 +5,7 @@ from birlab.errors import AllZero, ChartSingular, DimensionMismatch, InvalidPara
 from birlab.projective import (
     ProjPoint,
     canonicalize_rows,
+    fix_phase_rows,
     fs_distance,
     fs_distance_rows,
     from_chart_rows,
@@ -36,6 +37,9 @@ def test_normalize_removes_phase_and_scale():
         ([1e200, 0, 0], [1, 0, 0]),
         ([0, -3e-250j, 4e-250], [0, 0.6, 0.8j]),
         ([1e300, 1e300, 0], [2**-0.5, 2**-0.5, 0]),
+        # nonzero, so not AllZero, however small
+        ([1e-301, 0, 0], [1, 0, 0]),
+        ([0, 5e-324j, 0], [0, 1, 0]),
     ],
 )
 def test_normalize_at_the_ends_of_the_float_range(raw, expected):
@@ -57,8 +61,29 @@ def test_normalize_unit_vector():
 def test_normalize_rejects_zero():
     with pytest.raises(AllZero):
         normalize([0, 0, 0])
-    with pytest.raises(AllZero):
-        normalize([1e-301, 0, 0])
+
+
+@pytest.mark.parametrize("raw", [[1], [[1, 0], [0, 1]], 1.0])
+def test_normalize_rejects_a_tuple_of_the_wrong_shape(raw):
+    with pytest.raises(InvalidParam, match="flat tuple"):
+        normalize(raw)
+
+
+def test_canonical_rows_at_the_ends_of_the_float_range():
+    # norms that overflow, or whose squares underflow, are scaled first
+    assert np.allclose(from_chart_rows(np.array([[1e200, 0]]), 2), [[1, 0, 1e-200]], rtol=0, atol=1e-15)
+    assert np.allclose(canonicalize_rows([[1e-160, 0, 1e-160]]), [[2**-0.5, 0, 2**-0.5]], rtol=0, atol=1e-15)
+    rng = np.random.default_rng(4)
+    raws = rng.normal(size=(4000, 3)) + 1j * rng.normal(size=(4000, 3))
+    raws *= 10.0 ** rng.uniform(-300, 300, (4000, 1))
+    Z = canonicalize_rows(raws)
+    assert np.max(np.abs(np.linalg.norm(Z, axis=1) - 1.0)) < 1e-15
+    # rows of moderate norm keep the unscaled arithmetic bit for bit
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(raws, axis=1, keepdims=True)
+    moderate = ((norms > 1e-150) & (norms < 1e150))[:, 0]
+    assert 0 < moderate.sum() < len(Z)
+    assert np.array_equal(Z[moderate], fix_phase_rows(raws[moderate] / norms[moderate]))
 
 
 def test_normalize_invariants_random():
