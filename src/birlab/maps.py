@@ -40,6 +40,11 @@ from .errors import DimensionMismatch, IndeterminacyProximity, InvalidParam
 from .projective import ProjPoint, canonicalize_rows, fix_phase_rows, normalize, tangent_frames
 
 EPS_IND = 1e-10
+# Rows per slice of ``pullback_chain``.  numpy evaluates a product with a
+# temporary of 256 KiB or more in place, with its operands swapped, and its
+# complex product is not bitwise commutative.  16384 complex values are
+# 256 KiB, so every full slice rounds like the whole batch.
+CHAIN_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -310,17 +315,32 @@ def pullback_chain(pair: BirationalPair, Z0: np.ndarray, m: int, direction: str 
     ``D^dag D`` for the product D of the per-step differentials between
     orthonormal frames.  Rows whose orbit hits indeterminacy proximity
     are frozen at that step and flagged dead.
+
+    Every row is independent, so the chain runs on slices of
+    ``CHAIN_CHUNK`` rows, whose intermediates stay in cache, and writes
+    each slice into the outputs: memory is the outputs (113 B/row) plus
+    one slice's working set.  Where a map multiplies two general complex
+    arrays (Cremona pairs, Henon pairs of degree >= 3), the rows of a
+    partial last slice can differ from a whole-batch run in their last
+    bits, so the slice size is one fixed constant.
     """
     if pair.k != 2:
         raise DimensionMismatch("pullback chains implemented for k = 2 only")
     map_rep = pair.map_for(direction)
-    Z = np.asarray(Z0, dtype=complex)
-    X = tangent_frames(Z)
-    alive = np.ones(len(Z), dtype=bool)
-    for _ in range(m):
-        Z, X, ok = differential_rows(map_rep, Z, X)
-        alive &= ok
-    return _gram(X), alive, Z
+    Z0 = np.asarray(Z0, dtype=complex)
+    H = np.empty((len(Z0), 2, 2), dtype=complex)
+    alive = np.ones(len(Z0), dtype=bool)
+    Z_final = np.empty_like(Z0)
+    for start in range(0, len(Z0), CHAIN_CHUNK):
+        rows = slice(start, start + CHAIN_CHUNK)
+        Z = Z0[rows]
+        X = tangent_frames(Z)
+        for _ in range(m):
+            Z, X, ok = differential_rows(map_rep, Z, X)
+            alive[rows] &= ok
+        H[rows] = _gram(X)
+        Z_final[rows] = Z
+    return H, alive, Z_final
 
 
 def _gram(X: np.ndarray) -> np.ndarray:

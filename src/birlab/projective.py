@@ -70,7 +70,10 @@ class ProjPoint:
 def normalize(raw) -> ProjPoint:
     """Canonical unit representative of a finite, nonzero homogeneous tuple,
     at any scale of the float range: a one-row call of ``canonicalize_rows``."""
-    arr = np.array(raw, dtype=complex)
+    try:
+        arr = np.array(raw, dtype=complex)
+    except (ValueError, TypeError) as exc:
+        raise InvalidParam(f"homogeneous coordinates must be numbers, not {raw!r}") from exc
     if arr.ndim != 1 or len(arr) < 2:
         raise InvalidParam(f"need a flat tuple of at least two homogeneous coordinates, not shape {arr.shape}")
     if not np.isfinite(arr).all():

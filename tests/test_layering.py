@@ -122,3 +122,22 @@ def test_wls_is_the_only_least_squares_code():
         assert _innermost(_calls(attr)) == set()
     calls = _innermost(lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_wls")
     assert calls == {("mixing", "decay_fit")}
+
+
+def test_the_pullback_chain_has_one_path_and_no_knob():
+    # the slice size is one constant of maps, not a parameter
+    params = inspect.signature(maps.pullback_chain).parameters.values()
+    empty = inspect.Parameter.empty
+    assert [(p.name, p.default) for p in params] == [("pair", empty), ("Z0", empty), ("m", empty), ("direction", "fwd")]
+    assert [path.name for path in sorted(SRC.glob("*.py")) if "CHAIN_CHUNK" in path.read_text()] == ["maps.py"]
+    # measure hands each chain its whole batch: no loop and no slice of its own
+    calls = []
+
+    def visit(node, in_loop):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pullback_chain":
+            calls.append((in_loop, any(isinstance(arg, ast.Subscript) for arg in node.args)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_loop or isinstance(node, LOOPS))
+
+    visit(ast.parse((SRC / "measure.py").read_text()), False)
+    assert calls and set(calls) == {(False, False)}

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from birlab.errors import (
     InvalidParam,
 )
 from birlab.maps import (
+    CHAIN_CHUNK,
     HomogeneousPolynomial,
     differential_rows,
     eval_point,
@@ -327,6 +329,90 @@ def test_pullback_chain_freezes_rows_dying_later():
     assert alive1.all() and not alive4.any()
     assert np.array_equal(H4, H1)
     assert np.array_equal(Z4, Z1)
+
+
+def _whole_batch_chain(pair, Z0, m, direction):
+    """Reference: the chain run on all rows at once, with no slicing."""
+    map_rep = pair.map_for(direction)
+    Z, X = Z0, tangent_frames(Z0)
+    alive = np.ones(len(Z0), dtype=bool)
+    for _ in range(m):
+        Z, X, ok = differential_rows(map_rep, Z, X)
+        alive &= ok
+    return np.einsum("nca,ncb->nab", np.conj(X), X), alive, Z
+
+
+# full slices and a partial last one; indeterminacy points planted on
+# both sides of the first slice boundary and in the last slice
+BOUNDARY_ROWS = 2 * CHAIN_CHUNK + 37
+PLANTED = np.array([CHAIN_CHUNK - 1, CHAIN_CHUNK, 2 * CHAIN_CHUNK + 20])
+
+
+def _rows_with_planted_indeterminacy(pair, direction):
+    Z0 = sample_fs_rows(BOUNDARY_ROWS, 3)
+    ind = pair.ind_fwd if direction == "fwd" else pair.ind_bwd
+    Z0[PLANTED] = ind[0].coords
+    return Z0
+
+
+def _assert_planted_rows_dead_and_frozen(Z0, m, H, alive, Z_final):
+    if m == 0:
+        assert alive.all()
+        return
+    assert not alive[PLANTED].any()
+    assert np.allclose(H[PLANTED], np.eye(2), atol=1e-12)
+    assert np.array_equal(Z_final[PLANTED], Z0[PLANTED])
+
+
+# quadratic Henon pairs with real coefficients: the only products whose
+# operands numpy may swap multiply a real constant by a squared coordinate,
+# which rounds the same in either order
+QUADRATIC_HENON = {
+    "classic_henon": CHAIN_PAIRS["classic_henon"],
+    "slow_henon": lambda: make_henon(0.05, [0.0, 0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUADRATIC_HENON))
+@pytest.mark.parametrize("direction", ["fwd", "bwd"])
+@pytest.mark.parametrize("m", [0, 1, 6])
+def test_quadratic_henon_chain_slices_are_bit_identical_to_the_whole_batch(name, direction, m):
+    pair = QUADRATIC_HENON[name]()
+    Z0 = _rows_with_planted_indeterminacy(pair, direction)
+    got = pullback_chain(pair, Z0, m, direction)
+    for out, ref in zip(got, _whole_batch_chain(pair, Z0, m, direction)):
+        np.testing.assert_array_equal(out, ref)
+    _assert_planted_rows_dead_and_frozen(Z0, m, *got)
+
+
+@pytest.mark.parametrize("name", ["cubic_henon", "cremona"])
+@pytest.mark.parametrize("direction", ["fwd", "bwd"])
+@pytest.mark.parametrize("m", [0, 1, 6])
+def test_chain_slices_agree_with_the_whole_batch(name, direction, m):
+    # These maps multiply two general complex arrays, and numpy's complex
+    # product is not bitwise commutative.  numpy reuses a temporary of at
+    # least 256 KiB in place and then swaps the operands, so the partial
+    # last slice rounds differently from the whole batch.
+    pair = CHAIN_PAIRS[name]()
+    Z0 = _rows_with_planted_indeterminacy(pair, direction)
+    H, alive, Z_final = pullback_chain(pair, Z0, m, direction)
+    H_ref, alive_ref, Z_ref = _whole_batch_chain(pair, Z0, m, direction)
+    np.testing.assert_array_equal(alive, alive_ref)
+    assert np.allclose(H, H_ref, rtol=1e-12, atol=0)
+    assert np.allclose(Z_final, Z_ref, rtol=1e-12, atol=0)
+    _assert_planted_rows_dead_and_frozen(Z0, m, H, alive, Z_final)
+
+
+def test_chain_memory_is_its_outputs_and_one_slice():
+    pair = make_henon(0.05, [0.0, 0.0, 1.0])
+    Z0 = sample_fs_rows(8 * CHAIN_CHUNK, 11)
+    tracemalloc.start()
+    try:
+        H, alive, Z_final = pullback_chain(pair, Z0, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - (H.nbytes + alive.nbytes + Z_final.nbytes) <= 1024 * CHAIN_CHUNK
 
 
 @pytest.mark.parametrize("name", ["classic_henon", "cremona"])

@@ -69,6 +69,12 @@ def test_normalize_rejects_a_tuple_of_the_wrong_shape(raw):
         normalize(raw)
 
 
+@pytest.mark.parametrize("raw", [[[1, 2], [3]], [1, [2], 0], [1, "x", 0], [1, {}, 0]])
+def test_normalize_rejects_a_ragged_or_non_numeric_tuple(raw):
+    with pytest.raises(InvalidParam, match="must be numbers"):
+        normalize(raw)
+
+
 def test_canonical_rows_at_the_ends_of_the_float_range():
     # norms that overflow, or whose squares underflow, are scaled first
     assert np.allclose(from_chart_rows(np.array([[1e200, 0]]), 2), [[1, 0, 1e-200]], rtol=0, atol=1e-15)
