@@ -40,10 +40,11 @@ from .errors import DimensionMismatch, IndeterminacyProximity, InvalidParam
 from .projective import ProjPoint, canonicalize_rows, fix_phase_rows, normalize, tangent_frames
 
 EPS_IND = 1e-10
-# Rows per slice of ``pullback_chain``.  numpy evaluates a product with a
-# temporary of 256 KiB or more in place, with its operands swapped, and its
-# complex product is not bitwise commutative.  16384 complex values are
-# 256 KiB, so every full slice rounds like the whole batch.
+# Rows per slice of ``pullback_chain`` and of the mixing estimators' orbits.
+# numpy evaluates a product with a temporary of 256 KiB or more in place,
+# with its operands swapped, and its complex product is not bitwise
+# commutative.  16384 complex values are 256 KiB, so every full slice
+# rounds like the whole batch.
 CHAIN_CHUNK = 16384
 
 
@@ -237,6 +238,12 @@ class BirationalPair:
         return [self.d**q if q <= self.s else self.delta ** (self.k - q) for q in range(self.k + 1)]
 
 
+def row_slices(count: int) -> list:
+    """The fixed slices of ``CHAIN_CHUNK`` rows in which a batch of ``count``
+    independent rows is walked, whose intermediates then stay in cache."""
+    return [slice(start, min(start + CHAIN_CHUNK, count)) for start in range(0, count, CHAIN_CHUNK)]
+
+
 def step_rows(map_rep: RationalMapRep, Z: np.ndarray):
     """The checked map step on unit rows; returns ``(W, ||F||, alive)``.
 
@@ -316,8 +323,8 @@ def pullback_chain(pair: BirationalPair, Z0: np.ndarray, m: int, direction: str 
     orthonormal frames.  Rows whose orbit hits indeterminacy proximity
     are frozen at that step and flagged dead.
 
-    Every row is independent, so the chain runs on slices of
-    ``CHAIN_CHUNK`` rows, whose intermediates stay in cache, and writes
+    Every row is independent, so the chain runs on the slices of
+    ``row_slices``, whose intermediates stay in cache, and writes
     each slice into the outputs: memory is the outputs (113 B/row) plus
     one slice's working set.  Where a map multiplies two general complex
     arrays (Cremona pairs, Henon pairs of degree >= 3), the rows of a
@@ -331,8 +338,7 @@ def pullback_chain(pair: BirationalPair, Z0: np.ndarray, m: int, direction: str 
     H = np.empty((len(Z0), 2, 2), dtype=complex)
     alive = np.ones(len(Z0), dtype=bool)
     Z_final = np.empty_like(Z0)
-    for start in range(0, len(Z0), CHAIN_CHUNK):
-        rows = slice(start, start + CHAIN_CHUNK)
+    for rows in row_slices(len(Z0)):
         Z = Z0[rows]
         X = tangent_frames(Z)
         for _ in range(m):

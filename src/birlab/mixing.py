@@ -8,20 +8,25 @@ errors come from a seeded block bootstrap over the weighted samples (200
 resamples of 1000 contiguous blocks), which prices in both the weight
 spread and the observable variance at i.i.d.-sample cost.
 
-Each estimator computes every orbit state and every observable value it
-needs once: ``two_sided_grid`` evaluates psi once per backward lag, before
-the forward orbit is built, and keeps only those values and masks.
+Each estimator keeps only what it reads: the observable's value and the
+alive mask at each lag, not the orbit states.  One walk, ``_orbit_values``,
+steps the cloud's rows in the fixed slices of ``maps.row_slices`` and
+evaluates the observable on each state once, so an estimator's memory is
+about 9 B per row per lag (a float and a mask byte) plus one slice's
+states.  The bootstrap reads whole lags, so the slices change no value,
+except in the last bits on maps whose evaluation rounds by batch size
+(see ``maps.pullback_chain``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateCloud, InsufficientSignal, InvalidParam
-from .maps import BirationalPair, step_rows
+from .maps import BirationalPair, row_slices, step_rows
 from .measure import WeightedCloud, effective_sample_size
 
 N_BOOT = 200
@@ -29,6 +34,9 @@ N_BLOCKS = 1000
 N_FIT_BOOT = 1000
 MIN_ESS = 100.0
 NOISE_FLOOR_SIGMAS = 3.0
+# the two-sided cell (n, m) resamples under tag 300 + M_LIMIT n + m, which is
+# distinct from every other cell's only while m < M_LIMIT
+M_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -83,6 +91,34 @@ class OrbitTable:
     def state(self, n: int):
         self.advance_to(n)
         return self.Z[n], self.alive[n]
+
+
+def _orbit_values(pair: BirationalPair, cloud: WeightedCloud, direction: str, fn, n_max: int):
+    """``fn`` of every state f^n(z) (f^-n(z) backward) of the cloud's points
+    and the alive mask of that state, for n = 0..n_max.
+
+    Returns ``(values, alive)``, both of shape ``(n_max + 1, count)``.  The
+    rows are walked in the slices of ``row_slices``: one ``OrbitTable`` per
+    slice, dropped once its lags are written.
+    """
+    values = np.empty((n_max + 1, cloud.count))
+    alive = np.empty((n_max + 1, cloud.count), dtype=bool)
+    for rows in row_slices(cloud.count):
+        table = OrbitTable(pair, replace(cloud, points=cloud.points[rows], weights=cloud.weights[rows]), direction)
+        for n in range(n_max + 1):
+            Z, alive[n, rows] = table.state(n)
+            values[n, rows] = fn(Z)
+    return values, alive
+
+
+def _check_two_sided_lags(n: int, m: int):
+    if n < 0 or m < 0:
+        raise InvalidParam("lags must be >= 0")
+    if m >= M_LIMIT:
+        raise InvalidParam(
+            f"backward lag {m} must be below {M_LIMIT}: cell (n, m) resamples under tag "
+            f"300 + {M_LIMIT} n + m, shared with cell (n + 1, m - {M_LIMIT})"
+        )
 
 
 def _block_edges(n: int) -> np.ndarray:
@@ -145,15 +181,14 @@ def c_sequence(pair: BirationalPair, obs, n_max: int, nu_plus: WeightedCloud) ->
     if n_max < 0:
         raise InvalidParam("n_max must be >= 0")
     _require_healthy(nu_plus)
-    table = OrbitTable(pair, nu_plus, "fwd")
+    values, alive = _orbit_values(pair, nu_plus, "fwd", obs.fn, n_max)
     s, err, dropped = [], [], []
     for n in range(n_max + 1):
-        Z, alive = table.state(n)
         rng = _boot_rng(nu_plus.seed, 100 + n)
-        mean, stderr = _weighted_mean_boot(nu_plus.weights, obs.fn(Z), alive, rng)
+        mean, stderr = _weighted_mean_boot(nu_plus.weights, values[n], alive[n], rng)
         s.append(mean)
         err.append(stderr)
-        dropped.append(1.0 - alive.mean())
+        dropped.append(1.0 - alive[n].mean())
     s = np.array(s)
     c = np.diff(s, prepend=0.0)
     return CnSequence(
@@ -169,46 +204,39 @@ def correlation(pair: BirationalPair, phi, psi, N: int, mu_cloud: WeightedCloud)
     if N < 0:
         raise InvalidParam("lag must be >= 0")
     _require_healthy(mu_cloud)
-    table = OrbitTable(pair, mu_cloud, "fwd")
-    Z, alive = table.state(N)
-    a = phi.fn(Z)
+    a, alive = _orbit_values(pair, mu_cloud, "fwd", phi.fn, N)
     b = psi.fn(mu_cloud.points)
     rng = _boot_rng(mu_cloud.seed, 200 + N)
-    return _weighted_cov_boot(mu_cloud.weights, a, b, alive, rng)
+    return _weighted_cov_boot(mu_cloud.weights, a[N], b, alive[N], rng)
 
 
 def correlation_series(
     pair: BirationalPair, phi, psi, N_max: int, mu_cloud: WeightedCloud
 ) -> CorrelationSeries:
-    """Correlation at every lag 0..N_max, reusing incremental orbits."""
+    """Correlation at every lag 0..N_max, from one walk of the forward orbit."""
     if N_max < 0:
         raise InvalidParam("N_max must be >= 0")
     _require_healthy(mu_cloud)
-    table = OrbitTable(pair, mu_cloud, "fwd")
+    a, alive = _orbit_values(pair, mu_cloud, "fwd", phi.fn, N_max)
     b = psi.fn(mu_cloud.points)
     entries = []
     for N in range(N_max + 1):
-        Z, alive = table.state(N)
-        a = phi.fn(Z)
         rng = _boot_rng(mu_cloud.seed, 200 + N)
-        value, stderr = _weighted_cov_boot(mu_cloud.weights, a, b, alive, rng)
-        entries.append((N, value, stderr, float(1.0 - alive.mean())))
+        value, stderr = _weighted_cov_boot(mu_cloud.weights, a[N], b, alive[N], rng)
+        entries.append((N, value, stderr, float(1.0 - alive[N].mean())))
     return CorrelationSeries(entries=entries)
 
 
 def correlation_two_sided(
     pair: BirationalPair, phi, psi, n: int, m: int, mu_cloud: WeightedCloud
 ):
-    """mu(phi o f^n . psi o f^-m) - mu(phi) mu(psi) with stderr."""
-    if n < 0 or m < 0:
-        raise InvalidParam("lags must be >= 0")
+    """mu(phi o f^n . psi o f^-m) - mu(phi) mu(psi) with stderr; m < M_LIMIT."""
+    _check_two_sided_lags(n, m)
     _require_healthy(mu_cloud)
-    Zf, alive_f = OrbitTable(pair, mu_cloud, "fwd").state(n)
-    Zb, alive_b = OrbitTable(pair, mu_cloud, "bwd").state(m)
-    rng = _boot_rng(mu_cloud.seed, 300 + 64 * n + m)
-    return _weighted_cov_boot(
-        mu_cloud.weights, phi.fn(Zf), psi.fn(Zb), alive_f & alive_b, rng
-    )
+    a, alive_f = _orbit_values(pair, mu_cloud, "fwd", phi.fn, n)
+    b, alive_b = _orbit_values(pair, mu_cloud, "bwd", psi.fn, m)
+    rng = _boot_rng(mu_cloud.seed, 300 + M_LIMIT * n + m)
+    return _weighted_cov_boot(mu_cloud.weights, a[n], b[m], alive_f[n] & alive_b[m], rng)
 
 
 def two_sided_grid(
@@ -216,29 +244,24 @@ def two_sided_grid(
 ):
     """All two-sided correlations for n <= n_max, m <= m_max.
 
-    Returns a nested list ``grid[n][m] = (value, stderr)``.  psi is
-    evaluated once per backward lag, and the backward states are released
-    before the forward orbit is built.
+    Returns a nested list ``grid[n][m] = (value, stderr)``; m_max must be
+    below M_LIMIT.  phi is evaluated once per forward lag and psi once per
+    backward lag.
     """
-    if n_max < 0 or m_max < 0:
-        raise InvalidParam("lags must be >= 0")
+    _check_two_sided_lags(n_max, m_max)
     _require_healthy(mu_cloud)
-    bwd = OrbitTable(pair, mu_cloud, "bwd")
-    backward = [(psi.fn(Zb), alive_b) for Zb, alive_b in map(bwd.state, range(m_max + 1))]
-    del bwd
-    fwd = OrbitTable(pair, mu_cloud, "fwd")
-    grid = []
-    for n in range(n_max + 1):
-        Zf, alive_f = fwd.state(n)
-        a = phi.fn(Zf)
-        row = []
-        for m, (b, alive_b) in enumerate(backward):
-            rng = _boot_rng(mu_cloud.seed, 300 + 64 * n + m)
-            row.append(
-                _weighted_cov_boot(mu_cloud.weights, a, b, alive_f & alive_b, rng)
+    b, alive_b = _orbit_values(pair, mu_cloud, "bwd", psi.fn, m_max)
+    a, alive_f = _orbit_values(pair, mu_cloud, "fwd", phi.fn, n_max)
+    return [
+        [
+            _weighted_cov_boot(
+                mu_cloud.weights, a[n], b[m], alive_f[n] & alive_b[m],
+                _boot_rng(mu_cloud.seed, 300 + M_LIMIT * n + m),
             )
-        grid.append(row)
-    return grid
+            for m in range(m_max + 1)
+        ]
+        for n in range(n_max + 1)
+    ]
 
 
 def theoretical_rate(pair: BirationalPair, alpha: float, regular: bool) -> float:

@@ -141,3 +141,14 @@ def test_the_pullback_chain_has_one_path_and_no_knob():
 
     visit(ast.parse((SRC / "measure.py").read_text()), False)
     assert calls and set(calls) == {(False, False)}
+
+
+def _calls_name(name):
+    return lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+
+def test_the_mixing_estimators_walk_their_orbits_in_one_place():
+    # one walk builds every OrbitTable, one slice at a time, and only the table steps
+    assert _innermost(_calls_name("OrbitTable")) == {("mixing", "_orbit_values")}
+    steps = {owner for module, owner in _innermost(_calls_name("step_rows")) if module == "mixing"}
+    assert steps == {"advance_to"}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from birlab.errors import DegenerateCloud, InsufficientSignal, InvalidParam
-from birlab.maps import eval_point, make_cremona_composed, make_henon, random_unitary
+from birlab.maps import CHAIN_CHUNK, eval_point, make_cremona_composed, make_henon, random_unitary
 from birlab.measure import WeightedCloud, approx_T_plus_wedge_omega, approx_mu
 from birlab.mixing import (
+    M_LIMIT,
     N_FIT_BOOT,
     NOISE_FLOOR_SIGMAS,
     CnSequence,
@@ -23,6 +25,9 @@ from birlab.mixing import (
     split_lags,
     theoretical_rate,
     two_sided_grid,
+    _boot_rng,
+    _weighted_cov_boot,
+    _weighted_mean_boot,
 )
 from birlab.observables import Observable, observable_catalog
 from birlab.projective import sample_fs_rows
@@ -193,6 +198,19 @@ def test_two_sided_grid_equals_every_cell(henon):
             assert grid[n][m] == correlation_two_sided(henon, phi, psi, n, m, cloud)
 
 
+def test_two_sided_backward_lags_stop_where_the_resample_tags_collide(henon, mu_small):
+    # cell (n, M_LIMIT) would reuse the resample of cell (n + 1, 0)
+    phi = observable_catalog("fs-coordinate", {"index": 0})
+    assert M_LIMIT == 64
+    with pytest.raises(InvalidParam, match="below 64"):
+        two_sided_grid(henon, phi, phi, 0, 64, mu_small)
+    with pytest.raises(InvalidParam, match="below 64"):
+        correlation_two_sided(henon, phi, phi, 1, 64, mu_small)
+    assert two_sided_grid(henon, phi, phi, 0, 63, mu_small)[0][63] == correlation_two_sided(
+        henon, phi, phi, 0, 63, mu_small
+    )
+
+
 def test_orbit_table_keeps_states_and_freezes_dead_rows():
     pair = make_cremona_composed(random_unitary(7))
     # rows on I(f) die at the first step, their preimages at the second
@@ -213,6 +231,96 @@ def test_orbit_table_keeps_states_and_freezes_dead_rows():
     # asking again computes nothing new
     table.state(2)
     assert len(table.Z) == 5
+
+
+def _cloud_across_slices(pair):
+    """FS draws over two full slices and a partial one, with points that die
+    under f and under f^-1 on both sides of the first slice boundary and in
+    the last row."""
+    points = sample_fs_rows(2 * CHAIN_CHUNK + 37, 5)
+    dies_fwd, dies_bwd = pair.ind_fwd[0].coords, pair.ind_bwd[0].coords
+    points[CHAIN_CHUNK - 1], points[CHAIN_CHUNK], points[-1] = dies_fwd, dies_bwd, dies_fwd
+    w = np.random.default_rng(5).uniform(0.5, 1.5, size=len(points))
+    return WeightedCloud(
+        points=points, weights=w / w.sum(), depth_m=0, seed=5, clip_quantile=1.0,
+        dropped_count=0, raw_mean=1.0, raw_stderr=0.0,
+    )
+
+
+def _whole_cloud_estimates(pair, phi, psi, cloud, lags):
+    """correlation_series, two_sided_grid and c_sequence (of phi) as one
+    whole-cloud OrbitTable per direction and the estimators' bootstrap calls
+    and tags."""
+    fwd, bwd = OrbitTable(pair, cloud, "fwd"), OrbitTable(pair, cloud, "bwd")
+    w, seed = cloud.weights, cloud.seed
+    a = [(phi.fn(Z), alive) for Z, alive in map(fwd.state, range(lags + 1))]
+    b = [(psi.fn(Z), alive) for Z, alive in map(bwd.state, range(lags + 1))]
+    series = [
+        (N, *_weighted_cov_boot(w, a_N, b[0][0], alive, _boot_rng(seed, 200 + N)), float(1.0 - alive.mean()))
+        for N, (a_N, alive) in enumerate(a)
+    ]
+    grid = [
+        [_weighted_cov_boot(w, a_n, b_m, alive_f & alive_b, _boot_rng(seed, 300 + 64 * n + m))
+         for m, (b_m, alive_b) in enumerate(b)]
+        for n, (a_n, alive_f) in enumerate(a)
+    ]
+    means = np.array([_weighted_mean_boot(w, a_n, alive, _boot_rng(seed, 100 + n)) for n, (a_n, alive) in enumerate(a)])
+    dropped = np.array([1.0 - alive.mean() for _, alive in a])
+    return series, grid, (means[:, 0], means[:, 1], dropped)
+
+
+def _sliced_estimates(pair, phi, psi, cloud, lags):
+    series = correlation_series(pair, phi, psi, lags, cloud).entries
+    grid = two_sided_grid(pair, phi, psi, lags, lags, cloud)
+    seq = c_sequence(pair, phi, lags, cloud)
+    assert np.array_equal(seq.c, np.diff(seq.partial_sums, prepend=0.0))
+    return series, grid, (seq.partial_sums, seq.stderr, seq.dropped_fraction)
+
+
+def test_slice_boundaries_are_invisible_to_the_estimators(henon):
+    cloud = _cloud_across_slices(henon)
+    phi = observable_catalog("fs-coordinate", {"index": 0})
+    psi = observable_catalog("affine-bump", {"radius": 2.0})
+    # the planted rows die at the first step: two under f, one under f^-1
+    _, alive_f = OrbitTable(henon, cloud, "fwd").state(1)
+    _, alive_b = OrbitTable(henon, cloud, "bwd").state(1)
+    assert np.flatnonzero(~alive_f).tolist() == [CHAIN_CHUNK - 1, cloud.count - 1]
+    assert np.flatnonzero(~alive_b).tolist() == [CHAIN_CHUNK]
+    got = _sliced_estimates(henon, phi, psi, cloud, 3)
+    want = _whole_cloud_estimates(henon, phi, psi, cloud, 3)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    for g, w in zip(got[2], want[2]):
+        assert np.array_equal(g, w)
+
+
+def test_slice_boundaries_move_a_cremona_pair_only_in_rounding():
+    # a general complex product rounds differently in the partial last slice
+    pair = make_cremona_composed(random_unitary(7))
+    cloud = _cloud_across_slices(pair)
+    phi = observable_catalog("fs-coordinate", {"index": 0})
+    psi = observable_catalog("fs-coordinate", {"index": 1})
+    got = _sliced_estimates(pair, phi, psi, cloud, 3)
+    want = _whole_cloud_estimates(pair, phi, psi, cloud, 3)
+    assert [e[3] for e in got[0]] == [e[3] for e in want[0]]
+    assert np.array_equal(got[2][2], want[2][2])
+    assert np.allclose([e[1:3] for e in got[0]], [e[1:3] for e in want[0]], rtol=1e-12, atol=0)
+    assert np.allclose(got[1], want[1], rtol=1e-12, atol=0)
+    assert np.allclose(got[2][:2], want[2][:2], rtol=1e-12, atol=0)
+
+
+def test_correlation_series_keeps_values_and_masks_not_states(henon):
+    # each kept orbit state is 48 B per row per lag; a value and a mask byte are 9 B
+    rows, lags = 4 * CHAIN_CHUNK, 11
+    cloud = _cloud_with(np.empty((0, 3)), count=rows)
+    phi = observable_catalog("fs-coordinate", {"index": 0})
+    tracemalloc.start()
+    try:
+        correlation_series(henon, phi, phi, lags - 1, cloud)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * rows * lags
 
 
 def test_theoretical_rate_values(henon):
