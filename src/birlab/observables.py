@@ -16,6 +16,7 @@ from typing import Callable, get_type_hints
 import numpy as np
 
 from .errors import InvalidParam
+from .maps import row_slices
 from .projective import chart_disc, from_chart_rows
 
 NORM_GRID_SIDE = 256
@@ -102,41 +103,54 @@ def smoothness_alpha(smoothness: str) -> float:
 
 def estimate_norm(fn, smoothness: str) -> float:
     """Grid estimate of the C^1/C^2/Holder norm by finite differences,
-    on a seeded disc of chart NORM_CHART."""
+    on a seeded disc of chart NORM_CHART.
+
+    The grid is walked in the slices of ``row_slices``; each difference
+    keeps its maximum per slice, and the maximum of those is exactly its
+    maximum over the whole grid.  An observable that is 0 at every grid
+    point raises ``InvalidParam``: its norm would read 0.
+    """
     aff = chart_disc([0x0B5, NORM_CHART], NORM_GRID_SIDE * NORM_GRID_SIDE, NORM_GRID_RADIUS)
-    base = fn(from_chart_rows(aff, NORM_CHART))
-    sup = float(np.max(np.abs(base)))
     directions = [
         np.array([1.0, 0.0]),
         np.array([1j, 0.0]),
         np.array([0.0, 1.0]),
         np.array([0.0, 1j]),
     ]
-    if smoothness.startswith("Holder"):
-        alpha = smoothness_alpha(smoothness)
-        quotient = 0.0
-        for scale in range(4, 11):
-            h = 2.0**-scale
-            for e in directions:
-                shifted = fn(from_chart_rows(aff + h * e, NORM_CHART))
-                quotient = max(quotient, float(np.max(np.abs(shifted - base))) / h**alpha)
-        return sup + quotient
-    h1 = 1e-3
-    grad = 0.0
-    for e in directions:
-        plus = fn(from_chart_rows(aff + h1 * e, NORM_CHART))
-        minus = fn(from_chart_rows(aff - h1 * e, NORM_CHART))
-        grad = max(grad, float(np.max(np.abs(plus - minus))) / (2 * h1))
-    total = sup + grad
-    if smoothness == "C2":
-        h2 = 1e-2
-        hess = 0.0
+    holder = smoothness.startswith("Holder")
+    holder_steps = [2.0**-scale for scale in range(4, 11)]
+    h1, h2 = 1e-3, 1e-2
+
+    def at(grid):
+        return fn(from_chart_rows(grid, NORM_CHART))
+
+    def slice_peaks(grid):
+        """Per-slice maxima: the sup, then each difference in the order combined below."""
+        base = at(grid)
+        yield np.max(np.abs(base))
+        if holder:
+            for h in holder_steps:
+                for e in directions:
+                    yield np.max(np.abs(at(grid + h * e) - base))
+            return
         for e in directions:
-            plus = fn(from_chart_rows(aff + h2 * e, NORM_CHART))
-            minus = fn(from_chart_rows(aff - h2 * e, NORM_CHART))
-            hess = max(hess, float(np.max(np.abs(plus - 2 * base + minus))) / h2**2)
-        total += hess
-    return total
+            yield np.max(np.abs(at(grid + h1 * e) - at(grid - h1 * e)))
+        if smoothness == "C2":
+            for e in directions:
+                yield np.max(np.abs(at(grid + h2 * e) - 2 * base + at(grid - h2 * e)))
+
+    peaks = np.max([list(slice_peaks(aff[rows])) for rows in row_slices(len(aff))], axis=0)
+    sup, *diffs = (float(peak) for peak in peaks)
+    if sup == 0.0:
+        raise InvalidParam("it is 0 at every point of the norm grid, so its norm would read 0")
+    # each maximum of a group starts at 0.0, and a NaN difference is skipped
+    if holder:
+        alpha = smoothness_alpha(smoothness)
+        steps = [h for h in holder_steps for _ in directions]
+        return sup + max([0.0] + [diff / h**alpha for h, diff in zip(steps, diffs)])
+    grad = max([0.0] + [diff / (2 * h1) for diff in diffs[: len(directions)]])
+    hess = max([0.0] + [diff / h2**2 for diff in diffs[len(directions) :]])
+    return sup + grad + hess
 
 
 # the values each parameter type that a builder annotates accepts
@@ -175,5 +189,8 @@ def observable_catalog(name: str, params: dict = None) -> Observable:
     args = inspect.signature(builder).bind(**values)
     args.apply_defaults()
     smoothness = tag.format(**args.arguments)
-    norm = exact_norm(**args.arguments) if exact_norm else estimate_norm(fn, smoothness)
+    try:
+        norm = exact_norm(**args.arguments) if exact_norm else estimate_norm(fn, smoothness)
+    except InvalidParam as exc:
+        raise InvalidParam(f"observable {name} {params}: {exc}") from exc
     return Observable(name=name, smoothness=smoothness, norm_estimate=norm, fn=fn)

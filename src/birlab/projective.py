@@ -43,9 +43,17 @@ def canonicalize_rows(Z: np.ndarray) -> np.ndarray:
 
 
 def fix_phase_rows(Z: np.ndarray) -> np.ndarray:
-    """Make the first coordinate of modulus > PHASE_FLOOR real positive."""
-    lead = np.argmax(np.abs(Z) > PHASE_FLOOR, axis=-1)
-    lv = np.take_along_axis(Z, lead[..., None], axis=-1)
+    """Make the first coordinate of modulus > PHASE_FLOOR real positive.
+
+    The lead is coordinate 0 unless its modulus is at most PHASE_FLOOR;
+    only those rows are searched for their first coordinate above it.
+    """
+    lv = Z[..., :1].copy()
+    low = np.abs(lv[..., 0]) <= PHASE_FLOOR
+    if low.any():
+        rest = Z[low]
+        lead = np.argmax(np.abs(rest) > PHASE_FLOOR, axis=-1)
+        lv[low] = np.take_along_axis(rest, lead[:, None], axis=-1)
     return Z * np.conj(lv / np.abs(lv))
 
 
@@ -146,7 +154,12 @@ def chart_disc(seed, count: int, radius: float, k: int = 2) -> np.ndarray:
 
 def from_chart_rows(values: np.ndarray, chart: int) -> np.ndarray:
     """Canonical rows of the affine ``(N, k)`` ``values`` in ``chart``; inverts ``to_chart``."""
-    return canonicalize_rows(np.insert(np.asarray(values, dtype=complex), chart, 1.0, axis=-1))
+    values = np.asarray(values, dtype=complex)
+    rows = np.empty(values.shape[:-1] + (values.shape[-1] + 1,), dtype=complex)
+    rows[..., :chart] = values[..., :chart]
+    rows[..., chart] = 1.0
+    rows[..., chart + 1 :] = values[..., chart:]
+    return canonicalize_rows(rows)
 
 
 def tangent_frames(Z: np.ndarray) -> np.ndarray:

@@ -424,8 +424,17 @@ def test_cn_csv_cells_are_plain_numbers(tmp_path):
         ("genericity_henon", {"params": {"a": 0, "p_coeffs": [-1.2, 0.0, 1.0]}}, "map.params", "parameter a "),
         ("cn_henon", {"name": "affine-bump", "params": {"radius": 0}}, "observables.0", "radius"),
         ("cn_henon", {"name": "affine-bump", "params": {"raduis": 2}}, "observables.0", "raduis"),
+        (
+            "cn_henon",
+            {"name": "affine-bump", "params": {"radius": 0.05, "chart": 1, "cx": 1.5, "cy": 0.5}},
+            "observables.0",
+            "affine-bump",
+        ),
     ],
-    ids=["p_coeffs-not-a-list", "unitary_seed-not-an-int", "cx-a-pair", "a-zero", "radius-zero", "raduis-unknown"],
+    ids=[
+        "p_coeffs-not-a-list", "unitary_seed-not-an-int", "cx-a-pair", "a-zero", "radius-zero", "raduis-unknown",
+        "bump-off-the-norm-grid",
+    ],
 )
 def test_bad_map_and_observable_values_are_config_errors(tmp_path, capsys, config, change, where, field):
     payload = json.loads((CONFIGS / f"{config}.json").read_text())

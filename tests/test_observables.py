@@ -1,10 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birlab import observables
 from birlab.errors import InvalidParam
-from birlab.observables import observable_catalog, smoothness_alpha
-from birlab.projective import canonicalize_rows, sample_fs_rows
+from birlab.observables import (
+    NORM_CHART,
+    NORM_GRID_RADIUS,
+    NORM_GRID_SIDE,
+    estimate_norm,
+    observable_catalog,
+    smoothness_alpha,
+)
+from birlab.projective import canonicalize_rows, chart_disc, from_chart_rows, sample_fs_rows
 
 
 def test_constant_observable():
@@ -137,3 +148,91 @@ def test_smoothness_alpha():
     for tag in ("C3", "Holder"):
         with pytest.raises(InvalidParam):
             smoothness_alpha(tag)
+
+
+def test_a_bump_the_norm_grid_misses_is_rejected_by_name():
+    # no grid point lies in the support, so the grid norm would read 0
+    with pytest.raises(InvalidParam, match="affine-bump.*0 at every point of the norm grid"):
+        observable_catalog("affine-bump", {"radius": 0.05, "chart": 1, "cx": 1.5, "cy": 0.5j})
+
+
+def _norm_grid():
+    return chart_disc([0x0B5, NORM_CHART], NORM_GRID_SIDE * NORM_GRID_SIDE, NORM_GRID_RADIUS)
+
+
+def _estimate_norm_full_grid(fn, smoothness):
+    """Reference: every difference evaluated on the whole grid at once."""
+    aff = _norm_grid()
+    base = fn(from_chart_rows(aff, NORM_CHART))
+    sup = float(np.max(np.abs(base)))
+    directions = [
+        np.array([1.0, 0.0]),
+        np.array([1j, 0.0]),
+        np.array([0.0, 1.0]),
+        np.array([0.0, 1j]),
+    ]
+    if smoothness.startswith("Holder"):
+        alpha = smoothness_alpha(smoothness)
+        quotient = 0.0
+        for scale in range(4, 11):
+            h = 2.0**-scale
+            for e in directions:
+                shifted = fn(from_chart_rows(aff + h * e, NORM_CHART))
+                quotient = max(quotient, float(np.max(np.abs(shifted - base))) / h**alpha)
+        return sup + quotient
+    h1 = 1e-3
+    grad = 0.0
+    for e in directions:
+        plus = fn(from_chart_rows(aff + h1 * e, NORM_CHART))
+        minus = fn(from_chart_rows(aff - h1 * e, NORM_CHART))
+        grad = max(grad, float(np.max(np.abs(plus - minus))) / (2 * h1))
+    total = sup + grad
+    if smoothness == "C2":
+        h2 = 1e-2
+        hess = 0.0
+        for e in directions:
+            plus = fn(from_chart_rows(aff + h2 * e, NORM_CHART))
+            minus = fn(from_chart_rows(aff - h2 * e, NORM_CHART))
+            hess = max(hess, float(np.max(np.abs(plus - 2 * base + minus))) / h2**2)
+        total += hess
+    return total
+
+
+_coordinate = st.complex_numbers(max_magnitude=2.5, allow_nan=False, allow_infinity=False)
+_estimated = st.one_of(
+    st.builds(
+        lambda cx, cy, radius, chart: ("affine-bump", {"cx": cx, "cy": cy, "radius": radius, "chart": chart}),
+        _coordinate, _coordinate, st.floats(0.05, 4.0), st.integers(0, 2),
+    ),
+    st.builds(lambda index: ("fs-coordinate", {"index": index}), st.integers(0, 2)),
+    st.builds(
+        lambda alpha, index, level: ("holder-crease", {"alpha": alpha, "index": index, "level": level}),
+        st.floats(0.05, 1.0), st.integers(0, 2), st.floats(0.0, 1.0),
+    ),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_estimated)
+def test_sliced_norm_grid_equals_the_full_grid(observable):
+    name, params = observable
+    builder, tag, _ = observables._BUILDERS[name]
+    fn = builder(**params)
+    smoothness = tag.format(**params)
+    want = _estimate_norm_full_grid(fn, smoothness)
+    try:
+        assert estimate_norm(fn, smoothness) == want
+    except InvalidParam:
+        assert np.max(np.abs(fn(from_chart_rows(_norm_grid(), NORM_CHART)))) == 0.0
+
+
+def test_one_norm_estimate_keeps_one_slice_of_the_grid():
+    fn = observables._make_affine_bump()
+    tracemalloc.start()
+    try:
+        estimate_norm(fn, "C2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the whole-grid reference above peaks at 18.5 MB
+    assert peak < 9e6

@@ -1,8 +1,13 @@
+import cmath
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birlab.errors import AllZero, ChartSingular, DimensionMismatch, InvalidParam
 from birlab.projective import (
+    PHASE_FLOOR,
     ProjPoint,
     canonicalize_rows,
     fix_phase_rows,
@@ -223,6 +228,43 @@ def test_from_chart_rows_inverts_to_chart():
         back = from_chart_rows(values, chart)
         assert np.max(fs_distance_rows(back, Z)) < 1e-12
         assert np.allclose(np.linalg.norm(back, axis=-1), 1.0)
+
+
+def _fix_phase_argmax(Z):
+    """Reference: search every row for its first coordinate above PHASE_FLOOR."""
+    lead = np.argmax(np.abs(Z) > PHASE_FLOOR, axis=-1)
+    lv = np.take_along_axis(Z, lead[..., None], axis=-1)
+    return Z * np.conj(lv / np.abs(lv))
+
+
+# coordinates at the phase floor, at zero, and anywhere else
+_at_the_floor = st.builds(
+    lambda r, t: r * cmath.exp(1j * t),
+    st.sampled_from([0.0, PHASE_FLOOR * (1 - 1e-12), PHASE_FLOOR, PHASE_FLOOR * (1 + 1e-12)]),
+    st.one_of(st.just(0.0), st.floats(-4.0, 4.0)),
+)
+_coordinate = st.one_of(_at_the_floor, st.complex_numbers(max_magnitude=10.0, allow_infinity=False, allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_coordinate, min_size=3, max_size=3), min_size=1, max_size=40))
+def test_fix_phase_rows_equals_the_argmax_search(rows):
+    Z = np.array(rows, dtype=complex)
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(fix_phase_rows(Z).view(np.uint64), _fix_phase_argmax(Z).view(np.uint64))
+        for z in Z:
+            assert np.array_equal(fix_phase_rows(z).view(np.uint64), _fix_phase_argmax(z).view(np.uint64))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_from_chart_rows_equals_inserting_the_pivot(k):
+    rng = np.random.default_rng(k)
+    values = rng.normal(size=(500, k)) + 1j * rng.normal(size=(500, k))
+    values[::5] *= 1e200
+    values[1::5] *= 1e-200
+    for chart in range(k + 1):
+        want = canonicalize_rows(np.insert(values, chart, 1.0, axis=-1))
+        assert np.array_equal(from_chart_rows(values, chart).view(np.uint64), want.view(np.uint64))
 
 
 def test_proj_point_coordinates_are_read_only():
