@@ -8,6 +8,11 @@ errors come from a seeded block bootstrap over the weighted samples (200
 resamples of 1000 contiguous blocks), which prices in both the weight
 spread and the observable variance at i.i.d.-sample cost.
 
+The four correlation estimators read one kernel, ``_cov_grid``, the
+two-sided correlation on a grid of lags: ``correlation_series`` is its
+column m = 0, ``two_sided_grid`` the whole grid, and ``correlation`` and
+``correlation_two_sided`` one cell of each.
+
 Each estimator keeps only what it reads: the observable's value and the
 alive mask at each lag, not the orbit states.  One walk, ``_orbit_values``,
 steps the cloud's rows in the fixed slices of ``maps.row_slices`` and
@@ -21,7 +26,7 @@ except in the last bits on maps whose evaluation rounds by batch size
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,18 +72,18 @@ class DecayFit:
 
 
 class OrbitTable:
-    """Incremental orbits of a cloud's points under f or f^-1.
+    """Incremental orbits of the rows ``Z0`` under f or f^-1.
 
     ``state(n)`` returns the n-th iterate and the alive mask at that lag;
     dead rows are frozen at their last value.  ``Z`` is the list of states
-    computed so far, ``Z[0]`` the cloud's own points; later states may be
+    computed so far, ``Z[0]`` is ``Z0`` itself; later states may be
     component-major (see ``step_rows``).
     """
 
-    def __init__(self, pair: BirationalPair, cloud: WeightedCloud, direction: str = "fwd"):
+    def __init__(self, pair: BirationalPair, Z0: np.ndarray, direction: str = "fwd"):
         self.map_rep = pair.map_for(direction)
-        self.Z = [cloud.points]
-        self.alive = [np.ones(cloud.count, dtype=bool)]
+        self.Z = [Z0]
+        self.alive = [np.ones(len(Z0), dtype=bool)]
 
     def advance_to(self, n: int):
         while len(self.Z) <= n:
@@ -104,14 +109,14 @@ def _orbit_values(pair: BirationalPair, cloud: WeightedCloud, direction: str, fn
     values = np.empty((n_max + 1, cloud.count))
     alive = np.empty((n_max + 1, cloud.count), dtype=bool)
     for rows in row_slices(cloud.count):
-        table = OrbitTable(pair, replace(cloud, points=cloud.points[rows], weights=cloud.weights[rows]), direction)
+        table = OrbitTable(pair, cloud.points[rows], direction)
         for n in range(n_max + 1):
             Z, alive[n, rows] = table.state(n)
             values[n, rows] = fn(Z)
     return values, alive
 
 
-def _check_two_sided_lags(n: int, m: int):
+def _check_lags(n: int, m: int = 0):
     if n < 0 or m < 0:
         raise InvalidParam("lags must be >= 0")
     if m >= M_LIMIT:
@@ -178,8 +183,7 @@ def c_sequence(pair: BirationalPair, obs, n_max: int, nu_plus: WeightedCloud) ->
     The partial sums equal the direct estimator exactly, so
     c_n = s_n - s_{n-1}.
     """
-    if n_max < 0:
-        raise InvalidParam("n_max must be >= 0")
+    _check_lags(n_max)
     _require_healthy(nu_plus)
     values, alive = _orbit_values(pair, nu_plus, "fwd", obs.fn, n_max)
     s, err, dropped = [], [], []
@@ -199,44 +203,48 @@ def c_sequence(pair: BirationalPair, obs, n_max: int, nu_plus: WeightedCloud) ->
     )
 
 
+def _cov_grid(pair: BirationalPair, phi, psi, n_max: int, m_max: int, cloud: WeightedCloud, tag):
+    """mu(phi o f^n . psi o f^-m) - mu(phi) mu(psi) for n <= n_max, m <= m_max.
+
+    Returns ``grid[n][m] = (value, stderr, dropped_fraction)``; cell (n, m)
+    drops the rows that died by either lag and resamples under
+    ``tag(n, m)``.  phi is evaluated once per forward lag and psi once per
+    backward lag.
+    """
+    _check_lags(n_max, m_max)
+    _require_healthy(cloud)
+    b, alive_b = _orbit_values(pair, cloud, "bwd", psi.fn, m_max)
+    a, alive_f = _orbit_values(pair, cloud, "fwd", phi.fn, n_max)
+    grid = []
+    for n in range(n_max + 1):
+        row = []
+        for m in range(m_max + 1):
+            alive = alive_f[n] & alive_b[m]
+            rng = _boot_rng(cloud.seed, tag(n, m))
+            row.append((*_weighted_cov_boot(cloud.weights, a[n], b[m], alive, rng), float(1.0 - alive.mean())))
+        grid.append(row)
+    return grid
+
+
 def correlation(pair: BirationalPair, phi, psi, N: int, mu_cloud: WeightedCloud):
-    """mu(phi o f^N . psi) - mu(phi) mu(psi) with bootstrap stderr."""
-    if N < 0:
-        raise InvalidParam("lag must be >= 0")
-    _require_healthy(mu_cloud)
-    a, alive = _orbit_values(pair, mu_cloud, "fwd", phi.fn, N)
-    b = psi.fn(mu_cloud.points)
-    rng = _boot_rng(mu_cloud.seed, 200 + N)
-    return _weighted_cov_boot(mu_cloud.weights, a[N], b, alive[N], rng)
+    """mu(phi o f^N . psi) - mu(phi) mu(psi) with bootstrap stderr: one
+    entry of ``correlation_series``."""
+    return correlation_series(pair, phi, psi, N, mu_cloud).entries[N][1:3]
 
 
 def correlation_series(
     pair: BirationalPair, phi, psi, N_max: int, mu_cloud: WeightedCloud
 ) -> CorrelationSeries:
-    """Correlation at every lag 0..N_max, from one walk of the forward orbit."""
-    if N_max < 0:
-        raise InvalidParam("N_max must be >= 0")
-    _require_healthy(mu_cloud)
-    a, alive = _orbit_values(pair, mu_cloud, "fwd", phi.fn, N_max)
-    b = psi.fn(mu_cloud.points)
-    entries = []
-    for N in range(N_max + 1):
-        rng = _boot_rng(mu_cloud.seed, 200 + N)
-        value, stderr = _weighted_cov_boot(mu_cloud.weights, a[N], b, alive[N], rng)
-        entries.append((N, value, stderr, float(1.0 - alive[N].mean())))
-    return CorrelationSeries(entries=entries)
+    """Correlation at every lag 0..N_max, from one walk of the forward orbit:
+    the column m = 0 of the two-sided grid, lag N resampled under tag 200 + N."""
+    grid = _cov_grid(pair, phi, psi, N_max, 0, mu_cloud, lambda n, m: 200 + n)
+    return CorrelationSeries(entries=[(N, *row[0]) for N, row in enumerate(grid)])
 
 
-def correlation_two_sided(
-    pair: BirationalPair, phi, psi, n: int, m: int, mu_cloud: WeightedCloud
-):
-    """mu(phi o f^n . psi o f^-m) - mu(phi) mu(psi) with stderr; m < M_LIMIT."""
-    _check_two_sided_lags(n, m)
-    _require_healthy(mu_cloud)
-    a, alive_f = _orbit_values(pair, mu_cloud, "fwd", phi.fn, n)
-    b, alive_b = _orbit_values(pair, mu_cloud, "bwd", psi.fn, m)
-    rng = _boot_rng(mu_cloud.seed, 300 + M_LIMIT * n + m)
-    return _weighted_cov_boot(mu_cloud.weights, a[n], b[m], alive_f[n] & alive_b[m], rng)
+def correlation_two_sided(pair: BirationalPair, phi, psi, n: int, m: int, mu_cloud: WeightedCloud):
+    """mu(phi o f^n . psi o f^-m) - mu(phi) mu(psi) with stderr; m < M_LIMIT.
+    One cell of ``two_sided_grid``."""
+    return two_sided_grid(pair, phi, psi, n, m, mu_cloud)[n][m]
 
 
 def two_sided_grid(
@@ -245,23 +253,11 @@ def two_sided_grid(
     """All two-sided correlations for n <= n_max, m <= m_max.
 
     Returns a nested list ``grid[n][m] = (value, stderr)``; m_max must be
-    below M_LIMIT.  phi is evaluated once per forward lag and psi once per
-    backward lag.
+    below M_LIMIT, so that the resample tags 300 + M_LIMIT n + m of the
+    cells are distinct.
     """
-    _check_two_sided_lags(n_max, m_max)
-    _require_healthy(mu_cloud)
-    b, alive_b = _orbit_values(pair, mu_cloud, "bwd", psi.fn, m_max)
-    a, alive_f = _orbit_values(pair, mu_cloud, "fwd", phi.fn, n_max)
-    return [
-        [
-            _weighted_cov_boot(
-                mu_cloud.weights, a[n], b[m], alive_f[n] & alive_b[m],
-                _boot_rng(mu_cloud.seed, 300 + M_LIMIT * n + m),
-            )
-            for m in range(m_max + 1)
-        ]
-        for n in range(n_max + 1)
-    ]
+    grid = _cov_grid(pair, phi, psi, n_max, m_max, mu_cloud, lambda n, m: 300 + M_LIMIT * n + m)
+    return [[cell[:2] for cell in row] for row in grid]
 
 
 def theoretical_rate(pair: BirationalPair, alpha: float, regular: bool) -> float:

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import List, Literal, Optional
 
@@ -176,12 +177,19 @@ def _run_genericity(cfg, pair, observables):
 
 
 def _run_green(cfg, pair, observables):
+    """v_n, w_n, chi_A and G+ on the grid.  The shift is the largest unshifted
+    v_n on the calibration discs or on the grid, plus e, so w_n is defined at
+    every grid point."""
     series = QuasiPotentialSeries.calibrate(pair, cfg.depth_n)
     ticks = np.linspace(-cfg.grid_range, cfg.grid_range, cfg.grid_n)
     xs, ys = np.meshgrid(ticks, ticks, indexing="ij")
     xs, ys = xs.ravel(), ys.ravel()
     Z = from_chart_rows(np.stack([xs, ys], axis=1), 2)
-    v = v_n_rows(series, Z)
+    unshifted = v_n_rows(replace(series, shift=0.0), Z)
+    finite = unshifted[np.isfinite(unshifted)]
+    if len(finite):
+        series = replace(series, shift=max(series.shift, float(finite.max()) + math.e))
+    v = unshifted - series.shift
     w = w_n_rows(series, Z)
     chi = chi_A_rows(series, Z, cfg.cutoff_A)
     g = [green_plus_henon(pair, (x, y), GREEN_MAX_ITER) for x, y in zip(xs, ys)]
@@ -307,7 +315,9 @@ class ExperimentConfig(BaseModel):
 
 
 def load_config(data) -> ExperimentConfig:
-    """Validate a config dict (or JSON text/path) into an ExperimentConfig."""
+    """Validate a config dict, or the path (``str`` or ``Path``) of a JSON
+    config file, into an ExperimentConfig.  A string is always read as a
+    path, never parsed as JSON text."""
     if isinstance(data, (str, Path)):
         path = Path(data)
         try:

@@ -14,6 +14,7 @@ from birlab.errors import ConfigInvalid, DegenerateCloud, InsufficientSignal
 from birlab.mixing import DecayFit, theoretical_rate
 from birlab.maps import make_henon
 from birlab.observables import observable_catalog
+from birlab.potential import QuasiPotentialSeries
 from birlab.runner import build_pair, compare_to_theory, load_config
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -473,3 +474,23 @@ def test_lab_measure_exits_3_on_a_degenerate_cloud(tmp_path, monkeypatch):
     monkeypatch.setattr(measure, "pullback_chain", zero_forms)
     config = str(CONFIGS / "measure_henon.json")
     assert main(["measure", "--config", config, "--out", str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("grid_n, from_grid", [(16, False), (32, True), (33, True), (64, True)])
+def test_lab_green_takes_its_shift_over_the_discs_and_the_grid(tmp_path, grid_n, from_grid):
+    # the 128^2 calibration discs peak above the shipped 16 x 16 grid and below the others
+    calibrated = QuasiPotentialSeries.calibrate(make_henon(0.3, [-1.2, 0.0, 1.0]), 4).shift
+    payload = json.loads((CONFIGS / "green_henon.json").read_text())
+    cfg = _write_config(tmp_path / "cfg.json", {**payload, "grid_n": grid_n, "output_dir": str(tmp_path / "out")})
+    assert main(["green", "--config", cfg]) == 0
+    shift = json.loads((tmp_path / "out" / "green.json").read_text())["shift"]
+    with open(tmp_path / "out" / "green.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    v, w = (np.array([float(row[key]) for row in rows]) for key in ("v_n", "w_n"))
+    assert len(rows) == grid_n * grid_n and np.isfinite(w).any()
+    assert np.all(w[np.isfinite(w)] <= -1.0)
+    if from_grid:
+        assert shift > calibrated
+        assert np.max(v[np.isfinite(v)]) == pytest.approx(-math.e, abs=1e-12)
+    else:
+        assert shift == calibrated

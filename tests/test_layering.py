@@ -103,13 +103,17 @@ def test_observables_are_called_through_fn_only():
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
-@pytest.mark.parametrize("name", ["decay_fit", "_as_triples", "_wls"])
-def test_the_decay_fit_has_no_python_loop(name):
+def _mixing_function(name):
     (fn,) = [
         node for node in ast.walk(ast.parse((SRC / "mixing.py").read_text()))
         if isinstance(node, ast.FunctionDef) and node.name == name
     ]
-    assert [type(node).__name__ for node in ast.walk(fn) if isinstance(node, LOOPS)] == []
+    return fn
+
+
+@pytest.mark.parametrize("name", ["decay_fit", "_as_triples", "_wls"])
+def test_the_decay_fit_has_no_python_loop(name):
+    assert [type(node).__name__ for node in ast.walk(_mixing_function(name)) if isinstance(node, LOOPS)] == []
 
 
 def test_wls_is_the_only_least_squares_code():
@@ -152,3 +156,19 @@ def test_the_mixing_estimators_walk_their_orbits_in_one_place():
     assert _innermost(_calls_name("OrbitTable")) == {("mixing", "_orbit_values")}
     steps = {owner for module, owner in _innermost(_calls_name("step_rows")) if module == "mixing"}
     assert steps == {"advance_to"}
+
+
+@pytest.mark.parametrize("view, estimator", [("correlation", "correlation_series"),
+                                             ("correlation_two_sided", "two_sided_grid")])
+def test_the_one_cell_estimators_are_views(view, estimator):
+    calls = [node for node in ast.walk(_mixing_function(view)) if isinstance(node, ast.Call)]
+    assert [getattr(node.func, "id", None) for node in calls] == [estimator]
+
+
+def test_the_covariance_cells_have_one_kernel():
+    # every orbit walk, resample and covariance cell, and every lag check, runs
+    # in the two-sided kernel or in the c_n means
+    kernels = {("mixing", "_cov_grid"), ("mixing", "c_sequence")}
+    for name in ("_orbit_values", "_boot_rng", "_check_lags"):
+        assert _innermost(_calls_name(name)) == kernels
+    assert _innermost(_calls_name("_weighted_cov_boot")) == {("mixing", "_cov_grid")}

@@ -136,6 +136,12 @@ def test_correlation_rejects_negative_lag(henon, mu_small):
         correlation_series(henon, phi, phi, -1, mu_small)
 
 
+def test_c_sequence_rejects_negative_lag(henon, nu_small):
+    phi = observable_catalog("fs-coordinate", {"index": 0})
+    with pytest.raises(InvalidParam, match="lags must be >= 0"):
+        c_sequence(henon, phi, -1, nu_small)
+
+
 def test_correlation_series_matches_pointwise(henon, mu_small):
     phi = observable_catalog("fs-coordinate", {"index": 0})
     psi = observable_catalog("affine-bump", {"radius": 2.0})
@@ -188,8 +194,8 @@ def test_two_sided_grid_equals_every_cell(henon):
     cloud = _cloud_with([[1, 0, 0], [0, 1, 0]])
     phi = observable_catalog("fs-coordinate", {"index": 0})
     psi = observable_catalog("affine-bump", {"radius": 2.0})
-    _, alive_f = OrbitTable(henon, cloud, "fwd").state(1)
-    _, alive_b = OrbitTable(henon, cloud, "bwd").state(1)
+    _, alive_f = OrbitTable(henon, cloud.points, "fwd").state(1)
+    _, alive_b = OrbitTable(henon, cloud.points, "bwd").state(1)
     assert not alive_f[0] and alive_f[1] and alive_b[0] and not alive_b[1]
     grid = two_sided_grid(henon, phi, psi, 3, 4, cloud)
     assert len(grid) == 4 and all(len(row) == 5 for row in grid)
@@ -217,7 +223,7 @@ def test_orbit_table_keeps_states_and_freezes_dead_rows():
     on_ind = [q.coords for q in pair.ind_fwd]
     preimages = [eval_point(pair.bwd, q).coords for q in pair.ind_fwd]
     cloud = _cloud_with(on_ind + preimages, count=50)
-    table = OrbitTable(pair, cloud, "fwd")
+    table = OrbitTable(pair, cloud.points, "fwd")
     Z, alive = table.state(4)
     assert len(table.Z) == 5 and len(table.alive) == 5
     assert table.Z[0] is cloud.points
@@ -251,7 +257,7 @@ def _whole_cloud_estimates(pair, phi, psi, cloud, lags):
     """correlation_series, two_sided_grid and c_sequence (of phi) as one
     whole-cloud OrbitTable per direction and the estimators' bootstrap calls
     and tags."""
-    fwd, bwd = OrbitTable(pair, cloud, "fwd"), OrbitTable(pair, cloud, "bwd")
+    fwd, bwd = OrbitTable(pair, cloud.points, "fwd"), OrbitTable(pair, cloud.points, "bwd")
     w, seed = cloud.weights, cloud.seed
     a = [(phi.fn(Z), alive) for Z, alive in map(fwd.state, range(lags + 1))]
     b = [(psi.fn(Z), alive) for Z, alive in map(bwd.state, range(lags + 1))]
@@ -282,8 +288,8 @@ def test_slice_boundaries_are_invisible_to_the_estimators(henon):
     phi = observable_catalog("fs-coordinate", {"index": 0})
     psi = observable_catalog("affine-bump", {"radius": 2.0})
     # the planted rows die at the first step: two under f, one under f^-1
-    _, alive_f = OrbitTable(henon, cloud, "fwd").state(1)
-    _, alive_b = OrbitTable(henon, cloud, "bwd").state(1)
+    _, alive_f = OrbitTable(henon, cloud.points, "fwd").state(1)
+    _, alive_b = OrbitTable(henon, cloud.points, "bwd").state(1)
     assert np.flatnonzero(~alive_f).tolist() == [CHAIN_CHUNK - 1, cloud.count - 1]
     assert np.flatnonzero(~alive_b).tolist() == [CHAIN_CHUNK]
     got = _sliced_estimates(henon, phi, psi, cloud, 3)
