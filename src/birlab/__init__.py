@@ -47,9 +47,7 @@ from .mixing import (
     CorrelationSeries,
     DecayFit,
     c_sequence,
-    correlation,
     correlation_series,
-    correlation_two_sided,
     decay_fit,
     split_lags,
     theoretical_rate,

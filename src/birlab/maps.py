@@ -40,11 +40,8 @@ from .errors import DimensionMismatch, IndeterminacyProximity, InvalidParam
 from .projective import ProjPoint, canonicalize_rows, fix_phase_rows, normalize, tangent_frames
 
 EPS_IND = 1e-10
-# Rows per slice of ``pullback_chain`` and of the mixing estimators' orbits.
-# numpy evaluates a product with a temporary of 256 KiB or more in place,
-# with its operands swapped, and its complex product is not bitwise
-# commutative.  16384 complex values are 256 KiB, so every full slice
-# rounds like the whole batch.
+# Rows per slice of ``pullback_chain`` and of the mixing estimators' orbits;
+# a power of two, so the Jacobian matmul blocks each slice's rows as it does the whole batch's.
 CHAIN_CHUNK = 16384
 
 
@@ -76,7 +73,9 @@ class HomogeneousPolynomial:
                 if e == 1:
                     t = t * Z[..., j]
                 elif e > 1:
-                    t = t * Z[..., j] ** e
+                    # the power's temporary on the left keeps one operand order at
+                    # any batch size; numpy's complex product is not commutative
+                    t = Z[..., j] ** e * t
             out += t
         return out
 
@@ -317,7 +316,7 @@ def pullback_chain(pair: BirationalPair, Z0: np.ndarray, m: int, direction: str 
     Starts from the frame ``X = tangent_frames(Z0)`` and applies
     ``differential_rows`` m times, projecting onto the tangent space at
     every step (see the module docstring for why).  Returns
-    ``(H, alive, Z_final)`` with ``H = X^dag X`` of shape ``(N, 2, 2)``,
+    ``(H, alive)`` with ``H = X^dag X`` of shape ``(N, 2, 2)``,
     the pullback of omega written in the start frame; it equals
     ``D^dag D`` for the product D of the per-step differentials between
     orthonormal frames.  Rows whose orbit hits indeterminacy proximity
@@ -325,11 +324,8 @@ def pullback_chain(pair: BirationalPair, Z0: np.ndarray, m: int, direction: str 
 
     Every row is independent, so the chain runs on the slices of
     ``row_slices``, whose intermediates stay in cache, and writes
-    each slice into the outputs: memory is the outputs (113 B/row) plus
-    one slice's working set.  Where a map multiplies two general complex
-    arrays (Cremona pairs, Henon pairs of degree >= 3), the rows of a
-    partial last slice can differ from a whole-batch run in their last
-    bits, so the slice size is one fixed constant.
+    each slice into the outputs: memory is the outputs (65 B/row) plus
+    one slice's working set.
     """
     if pair.k != 2:
         raise DimensionMismatch("pullback chains implemented for k = 2 only")
@@ -337,7 +333,6 @@ def pullback_chain(pair: BirationalPair, Z0: np.ndarray, m: int, direction: str 
     Z0 = np.asarray(Z0, dtype=complex)
     H = np.empty((len(Z0), 2, 2), dtype=complex)
     alive = np.ones(len(Z0), dtype=bool)
-    Z_final = np.empty_like(Z0)
     for rows in row_slices(len(Z0)):
         Z = Z0[rows]
         X = tangent_frames(Z)
@@ -345,8 +340,7 @@ def pullback_chain(pair: BirationalPair, Z0: np.ndarray, m: int, direction: str 
             Z, X, ok = differential_rows(map_rep, Z, X)
             alive[rows] &= ok
         H[rows] = _gram(X)
-        Z_final[rows] = Z
-    return H, alive, Z_final
+    return H, alive
 
 
 def _gram(X: np.ndarray) -> np.ndarray:

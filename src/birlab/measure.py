@@ -86,7 +86,7 @@ def approx_T_plus_wedge_omega(pair: BirationalPair, m: int, count: int, seed: in
     """Particle cloud for T+ wedge omega via T+ ~ d^{-m} (f^m)^* omega."""
     _validate(m, count)
     Z = sample_fs_rows(count, seed, pair.k)
-    H, alive, _ = pullback_chain(pair, Z, m, "fwd")
+    H, alive = pullback_chain(pair, Z, m, "fwd")
     raw = pair.d ** (-m) * np.real(np.trace(H, axis1=1, axis2=2)) / pair.k
     return _finalize(Z, raw, alive, m, count, seed)
 
@@ -97,8 +97,8 @@ def approx_mu(pair: BirationalPair, m: int, count: int, seed: int) -> WeightedCl
     if pair.k != 2:
         raise DimensionMismatch("equilibrium-measure cloud requires k = 2")
     Z = sample_fs_rows(count, seed, pair.k)
-    H_plus, alive_f, _ = pullback_chain(pair, Z, m, "fwd")
-    H_minus, alive_b, _ = pullback_chain(pair, Z, m, "bwd")
+    H_plus, alive_f = pullback_chain(pair, Z, m, "fwd")
+    H_minus, alive_b = pullback_chain(pair, Z, m, "bwd")
     alive = alive_f & alive_b
     raw = wedge_density_rows(
         pair.d ** (-m) * H_plus, pair.delta ** (-m) * H_minus

@@ -8,19 +8,16 @@ errors come from a seeded block bootstrap over the weighted samples (200
 resamples of 1000 contiguous blocks), which prices in both the weight
 spread and the observable variance at i.i.d.-sample cost.
 
-The four correlation estimators read one kernel, ``_cov_grid``, the
-two-sided correlation on a grid of lags: ``correlation_series`` is its
-column m = 0, ``two_sided_grid`` the whole grid, and ``correlation`` and
-``correlation_two_sided`` one cell of each.
+The correlation estimators read one kernel, ``_cov_grid``, the two-sided
+correlation on a grid of lags: ``correlation_series`` is its column m = 0
+and ``two_sided_grid`` the whole grid.
 
 Each estimator keeps only what it reads: the observable's value and the
 alive mask at each lag, not the orbit states.  One walk, ``_orbit_values``,
 steps the cloud's rows in the fixed slices of ``maps.row_slices`` and
 evaluates the observable on each state once, so an estimator's memory is
 about 9 B per row per lag (a float and a mask byte) plus one slice's
-states.  The bootstrap reads whole lags, so the slices change no value,
-except in the last bits on maps whose evaluation rounds by batch size
-(see ``maps.pullback_chain``).
+states.  The bootstrap reads whole lags, so the slices change no value.
 """
 
 from __future__ import annotations
@@ -226,12 +223,6 @@ def _cov_grid(pair: BirationalPair, phi, psi, n_max: int, m_max: int, cloud: Wei
     return grid
 
 
-def correlation(pair: BirationalPair, phi, psi, N: int, mu_cloud: WeightedCloud):
-    """mu(phi o f^N . psi) - mu(phi) mu(psi) with bootstrap stderr: one
-    entry of ``correlation_series``."""
-    return correlation_series(pair, phi, psi, N, mu_cloud).entries[N][1:3]
-
-
 def correlation_series(
     pair: BirationalPair, phi, psi, N_max: int, mu_cloud: WeightedCloud
 ) -> CorrelationSeries:
@@ -239,12 +230,6 @@ def correlation_series(
     the column m = 0 of the two-sided grid, lag N resampled under tag 200 + N."""
     grid = _cov_grid(pair, phi, psi, N_max, 0, mu_cloud, lambda n, m: 200 + n)
     return CorrelationSeries(entries=[(N, *row[0]) for N, row in enumerate(grid)])
-
-
-def correlation_two_sided(pair: BirationalPair, phi, psi, n: int, m: int, mu_cloud: WeightedCloud):
-    """mu(phi o f^n . psi o f^-m) - mu(phi) mu(psi) with stderr; m < M_LIMIT.
-    One cell of ``two_sided_grid``."""
-    return two_sided_grid(pair, phi, psi, n, m, mu_cloud)[n][m]
 
 
 def two_sided_grid(

@@ -468,8 +468,8 @@ def test_lab_measure_exits_3_on_a_degenerate_cloud(tmp_path, monkeypatch):
     chain = measure.pullback_chain
 
     def zero_forms(pair, Z0, m, direction="fwd"):
-        H, alive, Z = chain(pair, Z0, m, direction)
-        return np.zeros_like(H), alive, Z
+        H, alive = chain(pair, Z0, m, direction)
+        return np.zeros_like(H), alive
 
     monkeypatch.setattr(measure, "pullback_chain", zero_forms)
     config = str(CONFIGS / "measure_henon.json")

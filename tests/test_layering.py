@@ -54,7 +54,8 @@ def test_jacobians_are_evaluated_only_by_the_differential_step():
     assert _innermost(_calls("jacobian_rows")) == {("maps", "differential_rows")}
 
 
-@pytest.mark.parametrize("name", ["eval_rows_checked", "FsForm", "ChartCoords", "RunManifest"])
+@pytest.mark.parametrize("name", ["eval_rows_checked", "FsForm", "ChartCoords", "RunManifest",
+                                  "correlation", "correlation_two_sided"])
 def test_removed_pass_through_names_stay_gone(name):
     defined = set()
     for path in sorted(SRC.glob("*.py")):
@@ -156,13 +157,6 @@ def test_the_mixing_estimators_walk_their_orbits_in_one_place():
     assert _innermost(_calls_name("OrbitTable")) == {("mixing", "_orbit_values")}
     steps = {owner for module, owner in _innermost(_calls_name("step_rows")) if module == "mixing"}
     assert steps == {"advance_to"}
-
-
-@pytest.mark.parametrize("view, estimator", [("correlation", "correlation_series"),
-                                             ("correlation_two_sided", "two_sided_grid")])
-def test_the_one_cell_estimators_are_views(view, estimator):
-    calls = [node for node in ast.walk(_mixing_function(view)) if isinstance(node, ast.Call)]
-    assert [getattr(node.func, "id", None) for node in calls] == [estimator]
 
 
 def test_the_covariance_cells_have_one_kernel():

@@ -82,13 +82,13 @@ def _broken_chain(broken):
     chain = measure.pullback_chain
 
     def patched(pair, Z0, m, direction="fwd"):
-        H, alive, Z = chain(pair, Z0, m, direction)
+        H, alive = chain(pair, Z0, m, direction)
         if broken == "all_dead":
-            return H, np.zeros_like(alive), Z
+            return H, np.zeros_like(alive)
         H0 = np.zeros_like(H)
         if broken == "one_row":
             H0[0] = H[0]
-        return H0, alive, Z
+        return H0, alive
 
     return patched
 

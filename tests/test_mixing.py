@@ -18,9 +18,7 @@ from birlab.mixing import (
     DecayFit,
     OrbitTable,
     c_sequence,
-    correlation,
     correlation_series,
-    correlation_two_sided,
     decay_fit,
     split_lags,
     theoretical_rate,
@@ -89,15 +87,15 @@ def test_c_sequence_rejects_degenerate_cloud(henon):
 def test_correlation_constant_is_zero(henon, mu_small):
     const = observable_catalog("constant", {"value": 3.0})
     coord = observable_catalog("fs-coordinate", {"index": 0})
-    value, _ = correlation(henon, const, coord, 4, mu_small)
+    value = correlation_series(henon, const, coord, 4, mu_small).entries[4][1]
     assert value == 0.0
-    value, _ = correlation(henon, coord, const, 4, mu_small)
+    value = correlation_series(henon, coord, const, 4, mu_small).entries[4][1]
     assert value == 0.0
 
 
 def test_correlation_lag_zero_is_variance(henon, mu_small):
     coord = observable_catalog("fs-coordinate", {"index": 0})
-    value, stderr = correlation(henon, coord, coord, 0, mu_small)
+    _, value, stderr, _ = correlation_series(henon, coord, coord, 0, mu_small).entries[0]
     assert value >= 0.0
     assert stderr >= 0.0
     vals = coord.fn(mu_small.points)
@@ -112,9 +110,9 @@ def test_correlation_bilinearity(henon, mu_small):
     psi = observable_catalog("fs-coordinate", {"index": 1})
     a, b = 1.7, -0.6
     combo = _combine(a, phi1, b, phi2)
-    v_combo, _ = correlation(henon, combo, psi, 3, mu_small)
-    v1, _ = correlation(henon, phi1, psi, 3, mu_small)
-    v2, _ = correlation(henon, phi2, psi, 3, mu_small)
+    v_combo, v1, v2 = (
+        correlation_series(henon, phi, psi, 3, mu_small).entries[3][1] for phi in (combo, phi1, phi2)
+    )
     assert abs(v_combo - (a * v1 + b * v2)) < 1e-12
 
 
@@ -123,15 +121,13 @@ def test_correlation_constant_shift_invariance(henon, mu_small):
     psi = observable_catalog("fs-coordinate", {"index": 1})
     const = observable_catalog("constant", {"value": 5.0})
     shifted = _combine(1.0, phi, 1.0, const)
-    v, _ = correlation(henon, phi, psi, 2, mu_small)
-    v_shift, _ = correlation(henon, shifted, psi, 2, mu_small)
+    v = correlation_series(henon, phi, psi, 2, mu_small).entries[2][1]
+    v_shift = correlation_series(henon, shifted, psi, 2, mu_small).entries[2][1]
     assert abs(v - v_shift) < 1e-12
 
 
 def test_correlation_rejects_negative_lag(henon, mu_small):
     phi = observable_catalog("fs-coordinate", {"index": 0})
-    with pytest.raises(InvalidParam):
-        correlation(henon, phi, phi, -1, mu_small)
     with pytest.raises(InvalidParam):
         correlation_series(henon, phi, phi, -1, mu_small)
 
@@ -148,7 +144,8 @@ def test_correlation_series_matches_pointwise(henon, mu_small):
     ser = correlation_series(henon, phi, psi, 4, mu_small)
     assert [e[0] for e in ser.entries] == [0, 1, 2, 3, 4]
     for lag, value, stderr, dropped in ser.entries:
-        v, s = correlation(henon, phi, psi, lag, mu_small)
+        # entry N does not depend on the longest lag asked for
+        _, v, s, _ = correlation_series(henon, phi, psi, lag, mu_small).entries[lag]
         assert value == v and stderr == s
         assert 0.0 <= dropped < 0.05
 
@@ -156,8 +153,8 @@ def test_correlation_series_matches_pointwise(henon, mu_small):
 def test_two_sided_zero_lags_is_covariance(henon, mu_small):
     phi = observable_catalog("fs-coordinate", {"index": 0})
     psi = observable_catalog("fs-coordinate", {"index": 1})
-    v2, _ = correlation_two_sided(henon, phi, psi, 0, 0, mu_small)
-    v1, _ = correlation(henon, phi, psi, 0, mu_small)
+    v2, _ = two_sided_grid(henon, phi, psi, 0, 0, mu_small)[0][0]
+    v1 = correlation_series(henon, phi, psi, 0, mu_small).entries[0][1]
     assert abs(v2 - v1) < 1e-14
 
 
@@ -165,8 +162,8 @@ def test_two_sided_consistency_with_one_sided(henon, mu_small):
     phi = observable_catalog("fs-coordinate", {"index": 0})
     psi = observable_catalog("affine-bump", {"radius": 2.0})
     for n in (1, 3):
-        v2, s2 = correlation_two_sided(henon, phi, psi, n, 0, mu_small)
-        v1, s1 = correlation(henon, phi, psi, n, mu_small)
+        v2, s2 = two_sided_grid(henon, phi, psi, n, 0, mu_small)[n][0]
+        _, v1, s1, _ = correlation_series(henon, phi, psi, n, mu_small).entries[n]
         assert abs(v2 - v1) <= 2 * max(s1, s2, 1e-12)
 
 
@@ -175,8 +172,7 @@ def test_two_sided_grid_shape(henon, mu_small):
     psi = observable_catalog("fs-coordinate", {"index": 1})
     grid = two_sided_grid(henon, phi, psi, 2, 3, mu_small)
     assert len(grid) == 3 and all(len(row) == 4 for row in grid)
-    v, s = correlation_two_sided(henon, phi, psi, 1, 2, mu_small)
-    assert grid[1][2] == (v, s)
+    assert grid[1][2] == two_sided_grid(henon, phi, psi, 1, 2, mu_small)[1][2]
 
 
 def _cloud_with(special, count=400, seed=3):
@@ -201,7 +197,7 @@ def test_two_sided_grid_equals_every_cell(henon):
     assert len(grid) == 4 and all(len(row) == 5 for row in grid)
     for n in range(4):
         for m in range(5):
-            assert grid[n][m] == correlation_two_sided(henon, phi, psi, n, m, cloud)
+            assert grid[n][m] == two_sided_grid(henon, phi, psi, n, m, cloud)[n][m]
 
 
 def test_two_sided_backward_lags_stop_where_the_resample_tags_collide(henon, mu_small):
@@ -211,10 +207,8 @@ def test_two_sided_backward_lags_stop_where_the_resample_tags_collide(henon, mu_
     with pytest.raises(InvalidParam, match="below 64"):
         two_sided_grid(henon, phi, phi, 0, 64, mu_small)
     with pytest.raises(InvalidParam, match="below 64"):
-        correlation_two_sided(henon, phi, phi, 1, 64, mu_small)
-    assert two_sided_grid(henon, phi, phi, 0, 63, mu_small)[0][63] == correlation_two_sided(
-        henon, phi, phi, 0, 63, mu_small
-    )
+        two_sided_grid(henon, phi, phi, 1, 64, mu_small)
+    assert len(two_sided_grid(henon, phi, phi, 0, 63, mu_small)[0]) == 64
 
 
 def test_orbit_table_keeps_states_and_freezes_dead_rows():
@@ -284,35 +278,21 @@ def _sliced_estimates(pair, phi, psi, cloud, lags):
 
 
 def test_slice_boundaries_are_invisible_to_the_estimators(henon):
-    cloud = _cloud_across_slices(henon)
     phi = observable_catalog("fs-coordinate", {"index": 0})
     psi = observable_catalog("affine-bump", {"radius": 2.0})
-    # the planted rows die at the first step: two under f, one under f^-1
-    _, alive_f = OrbitTable(henon, cloud.points, "fwd").state(1)
-    _, alive_b = OrbitTable(henon, cloud.points, "bwd").state(1)
-    assert np.flatnonzero(~alive_f).tolist() == [CHAIN_CHUNK - 1, cloud.count - 1]
-    assert np.flatnonzero(~alive_b).tolist() == [CHAIN_CHUNK]
-    got = _sliced_estimates(henon, phi, psi, cloud, 3)
-    want = _whole_cloud_estimates(henon, phi, psi, cloud, 3)
-    assert got[0] == want[0]
-    assert got[1] == want[1]
-    for g, w in zip(got[2], want[2]):
-        assert np.array_equal(g, w)
-
-
-def test_slice_boundaries_move_a_cremona_pair_only_in_rounding():
-    # a general complex product rounds differently in the partial last slice
-    pair = make_cremona_composed(random_unitary(7))
-    cloud = _cloud_across_slices(pair)
-    phi = observable_catalog("fs-coordinate", {"index": 0})
-    psi = observable_catalog("fs-coordinate", {"index": 1})
-    got = _sliced_estimates(pair, phi, psi, cloud, 3)
-    want = _whole_cloud_estimates(pair, phi, psi, cloud, 3)
-    assert [e[3] for e in got[0]] == [e[3] for e in want[0]]
-    assert np.array_equal(got[2][2], want[2][2])
-    assert np.allclose([e[1:3] for e in got[0]], [e[1:3] for e in want[0]], rtol=1e-12, atol=0)
-    assert np.allclose(got[1], want[1], rtol=1e-12, atol=0)
-    assert np.allclose(got[2][:2], want[2][:2], rtol=1e-12, atol=0)
+    for pair in (henon, make_cremona_composed(random_unitary(7))):
+        cloud = _cloud_across_slices(pair)
+        # the planted rows die at the first step: two under f, one under f^-1
+        _, alive_f = OrbitTable(pair, cloud.points, "fwd").state(1)
+        _, alive_b = OrbitTable(pair, cloud.points, "bwd").state(1)
+        assert np.flatnonzero(~alive_f).tolist() == [CHAIN_CHUNK - 1, cloud.count - 1]
+        assert np.flatnonzero(~alive_b).tolist() == [CHAIN_CHUNK]
+        got = _sliced_estimates(pair, phi, psi, cloud, 3)
+        want = _whole_cloud_estimates(pair, phi, psi, cloud, 3)
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+        for g, w in zip(got[2], want[2]):
+            assert np.array_equal(g, w)
 
 
 def test_correlation_series_keeps_values_and_masks_not_states(henon):
