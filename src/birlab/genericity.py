@@ -7,7 +7,7 @@ is reported through the ``degenerate`` flag, never raised.
 
 Each orbit advances its source points as one row batch through the checked
 map step (``maps.step_rows``).  A point on the map's indeterminacy set is
-flagged, and the step returns it unchanged; only its phase is fixed again.
+flagged, and the step returns it unchanged; it stays bit-equal from then on.
 """
 
 from __future__ import annotations
@@ -64,7 +64,8 @@ def indeterminacy_orbit(pair: BirationalPair, n: int, direction: str = "fwd") ->
     for j in range(n):
         W, _, alive = step_rows(map_rep, Z)
         flagged_at = [j if f is None and not ok else f for f, ok in zip(flagged_at, alive)]
-        Z = fix_phase_rows(W)
+        # a dead row keeps its bits: fixing its phase again moves it by rounding
+        Z = np.where(alive[:, None], fix_phase_rows(W), Z)
         steps.append([ProjPoint(row) for row in Z])
     return IndeterminacyOrbit(steps=steps, flagged_at=flagged_at)
 

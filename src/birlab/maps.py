@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, IndeterminacyProximity, InvalidParam
-from .projective import ProjPoint, canonicalize_rows, fix_phase_rows, normalize, tangent_frames
+from .projective import ProjPoint, canonicalize_rows, cross_rows, fix_phase_rows, normalize, tangent_frames
 
 EPS_IND = 1e-10
 # Rows per slice of ``pullback_chain`` and of the mixing estimators' orbits;
@@ -112,15 +112,6 @@ def _monomials(Z: np.ndarray, degree: int) -> np.ndarray:
     for _ in range(degree - 1):
         cols = [(col * Z[..., v], v) for col, last in cols for v in range(last, Z.shape[-1])]
     return np.stack([col for col, _ in cols])
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Bilinear cross product along axis 1 of ``(N, 3, ...)`` arrays, returned component-major."""
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    out = np.moveaxis(np.empty(shape[1:] + shape[:1], dtype=complex), -1, 0)
-    for i in range(3):
-        np.subtract(a[:, i - 2] * b[:, i - 1], a[:, i - 1] * b[:, i - 2], out=out[:, i])
-    return out
 
 
 def _component_major(A: np.ndarray) -> np.ndarray:
@@ -304,7 +295,7 @@ def differential_rows(map_rep: RationalMapRep, Z: np.ndarray, X: np.ndarray):
     Y /= np.where(alive, nrm, 1.0)[:, None, None]
     # P_w Y, stably (see the module docstring)
     w = W[:, :, None]
-    X_next = _cross(np.conj(w), _cross(Y, w))
+    X_next = cross_rows(np.conj(w), cross_rows(Y, w))
     if not alive.all():
         X_next = np.where(alive[:, None, None], X_next, X)
     return W, X_next, alive
@@ -349,8 +340,9 @@ def _gram(X: np.ndarray) -> np.ndarray:
 
 
 def fs_pullback_form(map_rep: RationalMapRep, p: ProjPoint) -> np.ndarray:
-    """f^* omega at p as a PSD Hermitian 2x2 matrix in the frame
-    ``tangent_frames`` gives p: one row of ``pullback_chain`` at m = 1."""
+    """f^* omega at p as a PSD Hermitian 2x2 matrix in the frame ``tangent_frames``
+    gives p: a one-row ``pullback_chain`` at m = 1.  Inside a larger batch the row can
+    differ in its last bits, as ``jacobian_rows`` (OpenBLAS) rounds by batch length."""
     Z = p.coords[None, :]
     _, X, alive = differential_rows(map_rep, Z, tangent_frames(Z))
     if not alive[0]:
@@ -359,7 +351,7 @@ def fs_pullback_form(map_rep: RationalMapRep, p: ProjPoint) -> np.ndarray:
 
 
 def pullback_density(map_rep: RationalMapRep, p: ProjPoint) -> float:
-    """Density of f^* omega wedge omega^{k-1} against omega^k: tr/k."""
+    """Density of f^* omega wedge omega^{k-1} against omega^k: tr/k, rounded as ``fs_pullback_form``."""
     return float(np.real(np.trace(fs_pullback_form(map_rep, p))) / p.k)
 
 

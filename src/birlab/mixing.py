@@ -245,13 +245,13 @@ def two_sided_grid(
     return [[cell[:2] for cell in row] for row in grid]
 
 
-def theoretical_rate(pair: BirationalPair, alpha: float, regular: bool) -> float:
+def theoretical_rate(pair: BirationalPair, alpha: float) -> float:
     """Per-step ln-rate of the proven decay bound: alpha s ln d / (4k),
-    doubled in the regular case."""
+    doubled when the pair is regular."""
     if not 0 < alpha <= 2:
         raise InvalidParam("alpha must lie in (0, 2]")
     rate = alpha * pair.s * math.log(pair.d) / (4.0 * pair.k)
-    return 2.0 * rate if regular else rate
+    return 2.0 * rate if pair.regular else rate
 
 
 def split_lags(pair: BirationalPair, N: int):

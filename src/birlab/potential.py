@@ -81,17 +81,19 @@ def _unshifted_v_rows(pair: BirationalPair, Z: np.ndarray, depth: int) -> np.nda
 
 @dataclass(frozen=True)
 class QuasiPotentialSeries:
-    """Truncated quasi-potential with a calibrated normalization shift."""
+    """Truncated quasi-potential at depth ``n`` with a calibrated normalization shift."""
 
     pair: BirationalPair
     n: int
     shift: float
 
+    def __post_init__(self):
+        if self.n < 0:
+            raise InvalidParam("truncation depth must be >= 0")
+
     @classmethod
     def calibrate(cls, pair: BirationalPair, n: int) -> "QuasiPotentialSeries":
         """Shift = grid maximum of the unshifted v_n, plus e."""
-        if n < 0:
-            raise InvalidParam("truncation depth must be >= 0")
         peak = -math.inf
         for chart in range(pair.k + 1):
             vals = _unshifted_v_rows(pair, calibration_points(chart, pair.k), n)
@@ -103,16 +105,13 @@ class QuasiPotentialSeries:
         return cls(pair=pair, n=n, shift=peak + math.e)
 
 
-def v_n_rows(series: QuasiPotentialSeries, Z: np.ndarray, depth: int = None) -> np.ndarray:
-    """Shifted quasi-potential at depth <= series depth (default: full)."""
-    depth = series.n if depth is None else depth
-    if depth < 0 or depth > series.n:
-        raise InvalidParam("depth must lie in [0, series.n]")
-    return _unshifted_v_rows(series.pair, Z, depth) - series.shift
+def v_n_rows(series: QuasiPotentialSeries, Z: np.ndarray) -> np.ndarray:
+    """Shifted quasi-potential at the series depth ``series.n``."""
+    return _unshifted_v_rows(series.pair, Z, series.n) - series.shift
 
 
-def v_n(series: QuasiPotentialSeries, p: ProjPoint, depth: int = None) -> float:
-    return float(v_n_rows(series, p.coords[None, :], depth)[0])
+def v_n(series: QuasiPotentialSeries, p: ProjPoint) -> float:
+    return float(v_n_rows(series, p.coords[None, :])[0])
 
 
 def w_n_rows(series: QuasiPotentialSeries, Z: np.ndarray) -> np.ndarray:

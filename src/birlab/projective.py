@@ -162,6 +162,15 @@ def from_chart_rows(values: np.ndarray, chart: int) -> np.ndarray:
     return canonicalize_rows(rows)
 
 
+def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bilinear cross product along axis 1 of ``(N, 3, ...)`` arrays, returned component-major."""
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    out = np.moveaxis(np.empty(shape[1:] + shape[:1], dtype=complex), -1, 0)
+    for i in range(3):
+        np.subtract(a[:, i - 2] * b[:, i - 1], a[:, i - 1] * b[:, i - 2], out=out[:, i])
+    return out
+
+
 def tangent_frames(Z: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal frames of the orthogonal complements.
 
@@ -170,16 +179,14 @@ def tangent_frames(Z: np.ndarray) -> np.ndarray:
     k = 2, which is all the form machinery needs.
     """
     Z = np.asarray(Z)
-    N, m = Z.shape
-    if m != 3:
+    if Z.ndim != 2 or Z.shape[1] != 3:
         raise DimensionMismatch("tangent frames implemented for k = 2 only")
+    rows = np.arange(len(Z))
     idx = np.argmin(np.abs(Z), axis=1)
-    a = np.zeros_like(Z)
-    a[np.arange(N), idx] = 1.0
-    inner = np.sum(a * np.conj(Z), axis=1)
-    b1 = a - inner[:, None] * Z
+    b1 = -np.conj(Z[rows, idx])[:, None] * Z  # e_k - conj(z_k) z for the least |z_k|
+    b1[rows, idx] += 1.0
     b1 = b1 / np.linalg.norm(b1, axis=1, keepdims=True)
     # conj of the bilinear cross product is Hermitian-orthogonal to both
     # Z and b1, and unit by the Binet-Cauchy identity.
-    b2 = np.conj(np.cross(Z, b1))
+    b2 = np.conj(cross_rows(Z, b1))
     return np.stack([b1, b2], axis=2)

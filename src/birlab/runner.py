@@ -113,9 +113,9 @@ def _json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def compare_to_theory(summary: DecayFit, pair: BirationalPair, alpha: float, regular: bool) -> dict:
+def compare_to_theory(summary: DecayFit, pair: BirationalPair, alpha: float) -> dict:
     """One-sided verdict: pass iff ci_low >= theoretical - slack."""
-    theory = theoretical_rate(pair, alpha, regular)
+    theory = theoretical_rate(pair, alpha)
     slack = SLACK_FRACTION * theory
     return {
         "fitted_rate": summary.rate,
@@ -124,7 +124,7 @@ def compare_to_theory(summary: DecayFit, pair: BirationalPair, alpha: float, reg
         "theoretical_rate": theory,
         "slack": slack,
         "slack_fraction": SLACK_FRACTION,
-        "regular": regular,
+        "regular": pair.regular,
         "alpha": alpha,
         "passed": summary.ci_low >= theory - slack,
     }
@@ -137,7 +137,7 @@ def _fit_and_verdict(cfg, pair, series, observables):
     except InsufficientSignal as exc:  # a reportable outcome, not a failure
         return None, {"error": type(exc).__name__}
     alpha = min(smoothness_alpha(o.smoothness) for o in observables)
-    return asdict(fit), compare_to_theory(fit, pair, alpha, pair.regular)
+    return asdict(fit), compare_to_theory(fit, pair, alpha)
 
 
 def _observables(cfg: ExperimentConfig, how_many: int):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -233,12 +234,12 @@ def test_compare_to_theory_rules():
             ci_low=ci_low, ci_high=ci_high, fit_window=(0, 8),
         )
 
-    good = compare_to_theory(fit(0.40, 0.35, 0.45), henon, 2.0, True)
+    good = compare_to_theory(fit(0.40, 0.35, 0.45), henon, 2.0)
     assert good["passed"] is True
     assert abs(good["theoretical_rate"] - regular_rate) < 1e-12
-    bad = compare_to_theory(fit(0.10, 0.05, 0.15), henon, 2.0, True)
+    bad = compare_to_theory(fit(0.10, 0.05, 0.15), henon, 2.0)
     assert bad["passed"] is False
-    generic = compare_to_theory(fit(0.18, 0.16, 0.20), henon, 2.0, False)
+    generic = compare_to_theory(fit(0.18, 0.16, 0.20), replace(henon, regular=False), 2.0)
     assert generic["passed"] is True
 
 
@@ -321,7 +322,7 @@ def test_theory_alpha_comes_from_the_observables(tmp_path, monkeypatch, experime
     assert main([experiment, "--config", _write_config(tmp_path / "cfg.json", payload)]) == 0
     theory = json.loads((tmp_path / "out" / f"{experiment}.json").read_text())["theory"]
     assert theory["alpha"] == alpha
-    assert theory["theoretical_rate"] == theoretical_rate(build_pair(load_config(payload).map), alpha, True)
+    assert theory["theoretical_rate"] == theoretical_rate(build_pair(load_config(payload).map), alpha)
 
 
 def test_readme_config_table_lists_every_field():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -118,3 +120,14 @@ def test_orbits_dying_after_step_zero():
     rep = bd_partial_sums(pair, 4)
     assert rep.degenerate is True
     assert rep.degenerate_index == 1
+
+
+def test_rows_dead_at_step_zero_keep_their_bits(composed):
+    # sources on I(f) itself: every one is dead at step 0, and its frozen
+    # point is not real, so fixing its phase again would move it by rounding
+    pair = replace(composed, ind_bwd=composed.ind_fwd)
+    orbit = indeterminacy_orbit(pair, 6, "fwd")
+    assert orbit.flagged_at == [0, 0, 0]
+    start = np.array([p.coords for p in orbit.steps[0]])
+    for step in orbit.steps[1:]:
+        assert np.array_equal(np.array([p.coords for p in step]).view(np.uint64), start.view(np.uint64))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from birlab import maps, measure, mixing, observables, potential
+from birlab import maps, measure, mixing, observables, potential, runner
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "birlab"
 
@@ -77,6 +77,11 @@ SIGNATURES = {
     "potential.green_plus_henon": (potential.green_plus_henon, ["pair", "p_affine", "max_iter"]),
     "maps.roundtrip_residuals": (maps.roundtrip_residuals, ["pair", "count", "seed"]),
     "maps.identity_map": (maps.identity_map, []),
+    # the pair decides which proven rate applies, the series its depth
+    "mixing.theoretical_rate": (mixing.theoretical_rate, ["pair", "alpha"]),
+    "runner.compare_to_theory": (runner.compare_to_theory, ["summary", "pair", "alpha"]),
+    "potential.v_n_rows": (potential.v_n_rows, ["series", "Z"]),
+    "potential.v_n": (potential.v_n, ["series", "p"]),
 }
 FIELDS = {
     "CnSequence": (mixing.CnSequence, ["c", "partial_sums", "stderr", "dropped_fraction"]),
@@ -150,6 +155,11 @@ def test_the_pullback_chain_has_one_path_and_no_knob():
 
 def _calls_name(name):
     return lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+
+def test_rows_are_crossed_by_one_kernel():
+    assert _innermost(_calls("cross")) == set()
+    assert _innermost(_calls_name("cross_rows")) == {("projective", "tangent_frames"), ("maps", "differential_rows")}
 
 
 def test_the_mixing_estimators_walk_their_orbits_in_one_place():

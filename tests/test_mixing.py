@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -320,16 +321,16 @@ def test_correlation_series_keeps_values_and_masks_not_states(henon):
 
 
 def test_theoretical_rate_values(henon):
-    regular = theoretical_rate(henon, 2.0, True)
-    generic = theoretical_rate(henon, 2.0, False)
+    regular = theoretical_rate(henon, 2.0)
+    generic = theoretical_rate(replace(henon, regular=False), 2.0)
     assert abs(regular - 0.5 * math.log(2)) < 1e-14
     assert abs(generic - 0.25 * math.log(2)) < 1e-14
     # linear interpolation in the smoothness exponent
-    assert abs(theoretical_rate(henon, 1.0, True) - regular / 2) < 1e-14
+    assert abs(theoretical_rate(henon, 1.0) - regular / 2) < 1e-14
     with pytest.raises(InvalidParam):
-        theoretical_rate(henon, 0.0, True)
+        theoretical_rate(henon, 0.0)
     with pytest.raises(InvalidParam):
-        theoretical_rate(henon, 2.5, True)
+        theoretical_rate(henon, 2.5)
 
 
 def test_split_lags_examples(henon):
@@ -495,4 +496,4 @@ def test_batched_decay_fit_matches_the_replicate_loop(entries, slope, zero_stder
 
 def test_rates_for_generic_family():
     pair = make_cremona_composed(random_unitary(7))
-    assert abs(theoretical_rate(pair, 2.0, False) - 0.25 * math.log(2)) < 1e-14
+    assert abs(theoretical_rate(pair, 2.0) - 0.25 * math.log(2)) < 1e-14

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,15 +70,22 @@ def test_u1_henon_origin_hand_value(henon):
     assert abs(expect - 0.2230) < 5e-4
 
 
+def test_the_series_owns_its_depth_check(henon, series):
+    with pytest.raises(InvalidParam):
+        QuasiPotentialSeries.calibrate(henon, -1)
+    with pytest.raises(InvalidParam):
+        replace(series, n=-1)
+
+
 def test_v0_is_minus_shift(series):
     p = normalize([0.3, -0.1, 1.0])
-    assert v_n(series, p, depth=0) == -series.shift
+    assert v_n(replace(series, n=0), p) == -series.shift
 
 
 def test_v_n_telescoping(series, henon):
     Z = sample_fs_rows(10**4, 21)
     for n in range(series.n):
-        lhs = v_n_rows(series, Z, n + 1) - v_n_rows(series, Z, n)
+        lhs = v_n_rows(replace(series, n=n + 1), Z) - v_n_rows(replace(series, n=n), Z)
         # d^-n u1 along the n-step orbit
         cur = Z
         for _ in range(n):
@@ -99,11 +107,11 @@ def test_quasi_potential_evaluates_f_once_per_step(henon, monkeypatch):
 
     series = QuasiPotentialSeries(pair=henon, n=5, shift=0.0)
     Z = sample_fs_rows(10, 2)
-    expect = [v_n_rows(series, Z, depth) for depth in range(6)]
+    expect = [v_n_rows(replace(series, n=depth), Z) for depth in range(6)]
     monkeypatch.setattr(RationalMapRep, "eval_rows", counted)
     for depth in range(6):
         rows.clear()
-        assert np.array_equal(v_n_rows(series, Z, depth), expect[depth])
+        assert np.array_equal(v_n_rows(replace(series, n=depth), Z), expect[depth])
         assert rows == [10] * depth
 
 

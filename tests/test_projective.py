@@ -219,6 +219,8 @@ def test_tangent_frames_orthonormal():
 def test_tangent_frames_require_the_plane():
     with pytest.raises(DimensionMismatch):
         tangent_frames(sample_fs_rows(10, 3, k=3))
+    with pytest.raises(DimensionMismatch):
+        tangent_frames(sample_fs_rows(1, 3)[0])
 
 
 def test_from_chart_rows_inverts_to_chart():
