@@ -5,9 +5,12 @@ The diagnostic reports partial sums of d^{-n} log dist(I(f), f^n(I(f^-1)))
 tail bound.  A vanishing distance is a legitimate experimental finding and
 is reported through the ``degenerate`` flag, never raised.
 
-Each orbit advances its source points as one row batch through the checked
-map step (``maps.step_rows``).  A point on the map's indeterminacy set is
-flagged, and the step returns it unchanged; it stays bit-equal from then on.
+Each orbit advances its source points, the pair's indeterminacy rows, as
+one row batch through the checked map step (``maps.step_rows``) and keeps
+every step in one ``(n + 1, S, 3)`` array.  A point on the map's
+indeterminacy set is flagged, and the step returns it unchanged; it stays
+bit-equal from then on.  Every distance to the target set comes from one
+broadcast ``fs_distance_rows`` call over all steps.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidParam
 from .maps import EPS_IND, BirationalPair, step_rows
-from .projective import ProjPoint, fix_phase_rows, min_set_distance
+from .projective import fix_phase_rows, fs_distance_rows
 
 EPS_DEGENERATE = EPS_IND
 
@@ -29,12 +32,12 @@ EPS_DEGENERATE = EPS_IND
 class IndeterminacyOrbit:
     """Orbits of one indeterminacy set under the opposite map.
 
-    ``steps[j]`` holds the images of each source point after j steps;
-    flagged points are frozen at their last good value and their failing
-    step recorded in ``flagged_at``.
+    ``steps`` has shape ``(n + 1, S, 3)``: ``steps[j]`` holds the canonical
+    rows of the S source points after j steps.  Flagged points are frozen at
+    their last good value and their failing step recorded in ``flagged_at``.
     """
 
-    steps: list
+    steps: np.ndarray
     flagged_at: list
 
 
@@ -55,29 +58,28 @@ def indeterminacy_orbit(pair: BirationalPair, n: int, direction: str = "fwd") ->
     if n < 0:
         raise InvalidParam("orbit length must be >= 0")
     map_rep = pair.map_for(direction)
-    sources = list(pair.ind_bwd if direction == "fwd" else pair.ind_fwd)
+    Z = pair.ind_bwd if direction == "fwd" else pair.ind_fwd
     targets = pair.ind_fwd if direction == "fwd" else pair.ind_bwd
     # a source on the opposite indeterminacy set is degenerate at step 0
-    flagged_at = [0 if min_set_distance([p], targets) < EPS_DEGENERATE else None for p in sources]
-    steps = [sources]
-    Z = np.array([p.coords for p in sources])
+    flagged_at = [0 if dist < EPS_DEGENERATE else None for dist in fs_distance_rows(Z[:, None], targets).min(axis=-1)]
+    steps = [Z]
     for j in range(n):
         W, _, alive = step_rows(map_rep, Z)
         flagged_at = [j if f is None and not ok else f for f, ok in zip(flagged_at, alive)]
         # a dead row keeps its bits: fixing its phase again moves it by rounding
         Z = np.where(alive[:, None], fix_phase_rows(W), Z)
-        steps.append([ProjPoint(row) for row in Z])
-    return IndeterminacyOrbit(steps=steps, flagged_at=flagged_at)
+        steps.append(Z)
+    return IndeterminacyOrbit(steps=np.stack(steps), flagged_at=flagged_at)
 
 
 def _series(pair: BirationalPair, N: int, direction: str):
     orbit = indeterminacy_orbit(pair, N, direction)
     targets = pair.ind_fwd if direction == "fwd" else pair.ind_bwd
     base = pair.d if direction == "fwd" else pair.delta
+    dists = fs_distance_rows(orbit.steps[:, :, None], targets).min(axis=(1, 2)).tolist()
     terms = []
     degenerate_index = None
-    for n in range(N + 1):
-        dist = min_set_distance(orbit.steps[n], targets)
+    for n, dist in enumerate(dists):
         # a flagged orbit point collided with its own map's indeterminacy
         # set; the recorded distance already reflects the collapse
         if dist < EPS_DEGENERATE and degenerate_index is None:

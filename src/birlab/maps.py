@@ -1,5 +1,11 @@
 """Homogeneous polynomial maps, FS differentials, and map families.
 
+Every pair is a birational map f of P^2, so k = 2 and s = 1: the degree
+relation d^s = delta^(k-s) between the degrees d of f and delta of f^-1
+reads d = delta.  A ``BirationalPair`` holds only what varies between
+pairs: the two maps, their indeterminacy sets as read-only ``(S, 3)``
+canonical rows, whether the pair is regular, and free-form metadata.
+
 Iteration is always pointwise (the map applied n times); compositions are
 never expanded symbolically, so degrees stay at d per step.
 
@@ -25,7 +31,7 @@ deep chains.  The projection is taken as the double cross product
 ``conj(w) x (Y x w) = |w|^2 Y - w (w^dag Y)``, which never forms
 ``1 - |w_i|^2`` by cancellation: where the map contracts hard, J X is
 nearly radial, and the expanded ``Y - w (w^dag Y)`` would leave only
-rounding in X.  All form densities are ratios against omega^k and
+rounding in X.  All form densities are ratios against omega^2 and
 therefore independent of the overall metric normalization.
 """
 
@@ -37,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, IndeterminacyProximity, InvalidParam
-from .projective import ProjPoint, canonicalize_rows, cross_rows, fix_phase_rows, normalize, tangent_frames
+from .projective import ProjPoint, canonicalize_rows, cross_rows, fix_phase_rows, tangent_frames
 
 EPS_IND = 1e-10
 # Rows per slice of ``pullback_chain`` and of the mixing estimators' orbits;
@@ -191,22 +197,23 @@ def linear_map(A: np.ndarray) -> RationalMapRep:
 
 @dataclass(frozen=True)
 class BirationalPair:
-    """Forward/backward map pair with indeterminacy data."""
+    """Forward/backward map pair of P^2; ``ind_fwd`` and ``ind_bwd`` are the
+    indeterminacy sets I(f) and I(f^-1) as read-only ``(S, 3)`` canonical rows."""
 
     fwd: RationalMapRep
     bwd: RationalMapRep
-    k: int
-    s: int
-    ind_fwd: tuple
-    ind_bwd: tuple
+    ind_fwd: np.ndarray = field(compare=False)
+    ind_bwd: np.ndarray = field(compare=False)
     regular: bool
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.d < 2:
             raise InvalidParam("algebraic degree must be >= 2")
-        if self.d**self.s != self.delta ** (self.k - self.s):
-            raise InvalidParam("degree relation d^s = delta^(k-s) violated")
+        if self.d != self.delta:
+            raise InvalidParam(f"degree relation d = delta violated: d = {self.d}, delta = {self.delta}")
+        self.ind_fwd.setflags(write=False)
+        self.ind_bwd.setflags(write=False)
 
     @property
     def d(self) -> int:
@@ -222,10 +229,6 @@ class BirationalPair:
         if direction == "bwd":
             return self.bwd
         raise InvalidParam(f"unknown direction {direction!r}")
-
-    def degree_sequence(self) -> list:
-        """d_q for q = 0..k: d^q for q <= s, delta^(k-q) for q >= s."""
-        return [self.d**q if q <= self.s else self.delta ** (self.k - q) for q in range(self.k + 1)]
 
 
 def row_slices(count: int) -> list:
@@ -318,8 +321,6 @@ def pullback_chain(pair: BirationalPair, Z0: np.ndarray, m: int, direction: str 
     each slice into the outputs: memory is the outputs (65 B/row) plus
     one slice's working set.
     """
-    if pair.k != 2:
-        raise DimensionMismatch("pullback chains implemented for k = 2 only")
     map_rep = pair.map_for(direction)
     Z0 = np.asarray(Z0, dtype=complex)
     H = np.empty((len(Z0), 2, 2), dtype=complex)
@@ -351,8 +352,8 @@ def fs_pullback_form(map_rep: RationalMapRep, p: ProjPoint) -> np.ndarray:
 
 
 def pullback_density(map_rep: RationalMapRep, p: ProjPoint) -> float:
-    """Density of f^* omega wedge omega^{k-1} against omega^k: tr/k, rounded as ``fs_pullback_form``."""
-    return float(np.real(np.trace(fs_pullback_form(map_rep, p))) / p.k)
+    """Density of f^* omega wedge omega against omega^2: tr/2, rounded as ``fs_pullback_form``."""
+    return float(np.real(np.trace(fs_pullback_form(map_rep, p))) / 2)
 
 
 def wedge_density_rows(Ha: np.ndarray, Hb: np.ndarray) -> np.ndarray:
@@ -417,10 +418,8 @@ def make_henon(a: complex, p_coeffs) -> BirationalPair:
     return BirationalPair(
         fwd=fwd,
         bwd=bwd,
-        k=2,
-        s=1,
-        ind_fwd=(normalize([1, 0, 0]),),
-        ind_bwd=(normalize([0, 1, 0]),),
+        ind_fwd=canonicalize_rows([[1, 0, 0]]),
+        ind_bwd=canonicalize_rows([[0, 1, 0]]),
         regular=True,
         meta={"family": "henon", "a": a, "p_coeffs": tuple(p_coeffs)},
     )
@@ -470,15 +469,12 @@ def make_cremona_composed(A: np.ndarray) -> BirationalPair:
         bwd_comps.append(HomogeneousPolynomial.from_dict(2, table))
     bwd = RationalMapRep(components=tuple(bwd_comps), degree=2)
 
-    coord_points = tuple(normalize(e) for e in np.eye(3))
-    ind_fwd = tuple(normalize(A_inv @ e) for e in np.eye(3))
     return BirationalPair(
         fwd=fwd,
         bwd=bwd,
-        k=2,
-        s=1,
-        ind_fwd=ind_fwd,
-        ind_bwd=coord_points,
+        # I(f) = A^-1 I(J), the columns of A^-1; copied to C order, as A_inv.T is a Fortran view
+        ind_fwd=canonicalize_rows(np.ascontiguousarray(A_inv.T)),
+        ind_bwd=canonicalize_rows(np.eye(3)),
         regular=False,
         meta={"family": "cremona_composed"},
     )
@@ -496,11 +492,8 @@ def roundtrip_residuals(pair: BirationalPair, count: int, seed: int) -> np.ndarr
     """FS distances ||bwd(fwd(z)) - z|| on random points at least 1e-3 away from I(f)."""
     from .projective import fs_distance_rows, sample_fs_rows
 
-    Z = sample_fs_rows(count, seed, pair.k)
-    keep = np.ones(len(Z), dtype=bool)
-    for q in pair.ind_fwd:
-        keep &= fs_distance_rows(Z, np.broadcast_to(q.coords, Z.shape)) >= 1e-3
-    Z = Z[keep]
+    Z = sample_fs_rows(count, seed)
+    Z = Z[fs_distance_rows(Z[:, None], pair.ind_fwd).min(axis=1) >= 1e-3]
     W, _, alive1 = step_rows(pair.fwd, Z)
     B, _, alive2 = step_rows(pair.bwd, W)
     B = canonicalize_rows(B)

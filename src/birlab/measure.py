@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCloud, DimensionMismatch, InvalidParam
+from .errors import DegenerateCloud, InvalidParam
 from .maps import BirationalPair, pullback_chain, step_rows, wedge_density_rows
 from .projective import sample_fs_rows
 
@@ -85,18 +85,16 @@ def _validate(m, count):
 def approx_T_plus_wedge_omega(pair: BirationalPair, m: int, count: int, seed: int) -> WeightedCloud:
     """Particle cloud for T+ wedge omega via T+ ~ d^{-m} (f^m)^* omega."""
     _validate(m, count)
-    Z = sample_fs_rows(count, seed, pair.k)
+    Z = sample_fs_rows(count, seed)
     H, alive = pullback_chain(pair, Z, m, "fwd")
-    raw = pair.d ** (-m) * np.real(np.trace(H, axis1=1, axis2=2)) / pair.k
+    raw = pair.d ** (-m) * np.real(np.trace(H, axis1=1, axis2=2)) / 2
     return _finalize(Z, raw, alive, m, count, seed)
 
 
 def approx_mu(pair: BirationalPair, m: int, count: int, seed: int) -> WeightedCloud:
-    """Particle cloud for mu = T+ wedge T- at finite depth (k = 2 only)."""
+    """Particle cloud for mu = T+ wedge T- at finite depth."""
     _validate(m, count)
-    if pair.k != 2:
-        raise DimensionMismatch("equilibrium-measure cloud requires k = 2")
-    Z = sample_fs_rows(count, seed, pair.k)
+    Z = sample_fs_rows(count, seed)
     H_plus, alive_f = pullback_chain(pair, Z, m, "fwd")
     H_minus, alive_b = pullback_chain(pair, Z, m, "bwd")
     alive = alive_f & alive_b

@@ -129,7 +129,7 @@ def _block_edges(n: int) -> np.ndarray:
 
 
 def _boot_rng(seed: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng([0xB007, seed & 0xFFFFFFFF, tag])
+    return np.random.default_rng([0xB007, seed, tag])
 
 
 def _block_boot(wa, cols, stat, rng):
@@ -247,19 +247,19 @@ def two_sided_grid(
 
 def theoretical_rate(pair: BirationalPair, alpha: float) -> float:
     """Per-step ln-rate of the proven decay bound: alpha s ln d / (4k),
-    doubled when the pair is regular."""
+    which is alpha ln d / 8 on P^2 (k = 2, s = 1), doubled when the pair is regular."""
     if not 0 < alpha <= 2:
         raise InvalidParam("alpha must lie in (0, 2]")
-    rate = alpha * pair.s * math.log(pair.d) / (4.0 * pair.k)
+    rate = alpha * math.log(pair.d) / 8.0
     return 2.0 * rate if pair.regular else rate
 
 
-def split_lags(pair: BirationalPair, N: int):
-    """Split a one-sided lag N into (n, m) = ((k-s) n0, s n0 + r)."""
+def split_lags(N: int):
+    """Split a one-sided lag N into (n, m) = ((k-s) n0, s n0 + r) with
+    N = k n0 + r; on P^2 (k = 2, s = 1) that is (n0, n0 + r)."""
     if N < 0:
         raise InvalidParam("N must be >= 0")
-    n0 = N // pair.k
-    n = (pair.k - pair.s) * n0
+    n = N // 2
     return n, N - n
 
 
@@ -297,7 +297,10 @@ def decay_fit(series, seed: int = 0) -> DecayFit:
     at the first usable one.  The rate CI comes from N_FIT_BOOT resamples
     of the fitted lags, drawn at once and refitted as rows of ``_wls``; a
     resample that draws a single lag has no slope and is left out.
+    ``seed`` must be >= 0.
     """
+    if seed < 0:
+        raise InvalidParam(f"seed must be >= 0, not {seed}")
     lags, values, stderrs = _as_triples(series)
     usable = (values != 0) & (np.abs(values) >= NOISE_FLOOR_SIGMAS * stderrs)
     start = int(np.argmax(usable)) if usable.any() else len(usable)

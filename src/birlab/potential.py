@@ -60,10 +60,10 @@ def u1(pair: BirationalPair, p: ProjPoint) -> float:
     return float(u1_rows(pair, p.coords[None, :])[0])
 
 
-def calibration_points(chart: int, k: int = 2) -> np.ndarray:
+def calibration_points(chart: int) -> np.ndarray:
     """Fixed per-chart calibration point set (128^2 points, seeded)."""
     n = CALIBRATION_SIDE * CALIBRATION_SIDE
-    return from_chart_rows(chart_disc([0xCA11B, chart], n, CALIBRATION_RADIUS, k), chart)
+    return from_chart_rows(chart_disc([0xCA11B, chart], n, CALIBRATION_RADIUS), chart)
 
 
 def _unshifted_v_rows(pair: BirationalPair, Z: np.ndarray, depth: int) -> np.ndarray:
@@ -95,8 +95,8 @@ class QuasiPotentialSeries:
     def calibrate(cls, pair: BirationalPair, n: int) -> "QuasiPotentialSeries":
         """Shift = grid maximum of the unshifted v_n, plus e."""
         peak = -math.inf
-        for chart in range(pair.k + 1):
-            vals = _unshifted_v_rows(pair, calibration_points(chart, pair.k), n)
+        for chart in range(3):
+            vals = _unshifted_v_rows(pair, calibration_points(chart), n)
             finite = vals[np.isfinite(vals)]
             if len(finite):
                 peak = max(peak, float(finite.max()))

@@ -107,29 +107,24 @@ def fs_distance_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.clip(np.linalg.norm(perp, axis=-1), 0.0, 1.0)
 
 
-def min_set_distance(ps, qs) -> float:
-    """Minimum pairwise chordal distance between two finite point sets."""
-    P = np.array([p.coords for p in ps])
-    Q = np.array([q.coords for q in qs])
-    return float(fs_distance_rows(P[:, None, :], Q[None, :, :]).min())
+def sample_fs_rows(count: int, seed: int) -> np.ndarray:
+    """``(count, 3)`` canonical rows of P^2 i.i.d. per the FS volume.
 
-
-def sample_fs_rows(count: int, seed: int, k: int = 2) -> np.ndarray:
-    """``(count, k+1)`` canonical rows i.i.d. per the FS volume.
-
-    Uniform on the unit sphere of C^{k+1} modulo phase; deterministic for
-    a fixed seed.
+    Uniform on the unit sphere of C^3 modulo phase; deterministic for a
+    fixed seed, which must be >= 0.
     """
+    if seed < 0:
+        raise InvalidParam(f"seed must be >= 0, not {seed}")
     rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((count, k + 1)) + 1j * rng.standard_normal((count, k + 1))
+    raw = rng.standard_normal((count, 3)) + 1j * rng.standard_normal((count, 3))
     if count == 0:
         return raw
     return canonicalize_rows(raw)
 
 
-def sample_fs(count: int, seed: int, k: int = 2) -> list:
+def sample_fs(count: int, seed: int) -> list:
     """FS-volume samples as ProjPoint objects."""
-    rows = sample_fs_rows(count, seed, k)
+    rows = sample_fs_rows(count, seed)
     return [ProjPoint(row) for row in rows]
 
 
@@ -144,11 +139,11 @@ def to_chart(p: ProjPoint, chart: int) -> tuple:
     return tuple(complex(coords[j] / pivot) for j in range(len(coords)) if j != chart)
 
 
-def chart_disc(seed, count: int, radius: float, k: int = 2) -> np.ndarray:
-    """``(count, k)`` affine values, each uniform on ``|v| <= radius``, seeded."""
+def chart_disc(seed, count: int, radius: float) -> np.ndarray:
+    """``(count, 2)`` affine values of a chart of P^2, each uniform on ``|v| <= radius``, seeded."""
     rng = np.random.default_rng(seed)
-    return radius * np.sqrt(rng.uniform(size=(count, k))) * np.exp(
-        2j * np.pi * rng.uniform(size=(count, k))
+    return radius * np.sqrt(rng.uniform(size=(count, 2))) * np.exp(
+        2j * np.pi * rng.uniform(size=(count, 2))
     )
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from birlab.genericity import bd_partial_sums, indeterminacy_orbit
 from birlab.maps import make_cremona_composed, make_henon, random_unitary
-from birlab.projective import fs_distance, min_set_distance, normalize
+from birlab.projective import ProjPoint, fs_distance, fs_distance_rows, normalize
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +23,7 @@ def test_henon_forward_orbit_constant_at_infinity(henon):
     assert orbit.flagged_at == [None]
     inf_pt = normalize([0, 1, 0])
     for step in orbit.steps:
-        assert fs_distance(step[0], inf_pt) < 1e-12
+        assert fs_distance(ProjPoint(step[0]), inf_pt) < 1e-12
 
 
 def test_cremona_involution_all_flagged_at_zero():
@@ -107,16 +107,16 @@ def test_orbits_dying_after_step_zero():
     ones = normalize([1, 1, 1])
     for i, j in enumerate(fwd.flagged_at[:2]):
         for step in fwd.steps[j:]:
-            assert fs_distance(step[i], ones) < 1e-15
+            assert fs_distance(ProjPoint(step[i]), ones) < 1e-15
     for orbit, targets in ((fwd, pair.ind_fwd), (bwd, pair.ind_bwd)):
         for i, j in enumerate(orbit.flagged_at):
             if j is None:
                 continue
             frozen = orbit.steps[j][i]
-            assert min_set_distance([frozen], targets) < 1e-15
+            assert fs_distance_rows(frozen, targets).min() < 1e-15
             # every later step repeats the frozen point exactly
             for step in orbit.steps[j + 1 :]:
-                assert np.array_equal(step[i].coords, frozen.coords)
+                assert np.array_equal(step[i], frozen)
     rep = bd_partial_sums(pair, 4)
     assert rep.degenerate is True
     assert rep.degenerate_index == 1
@@ -128,6 +128,6 @@ def test_rows_dead_at_step_zero_keep_their_bits(composed):
     pair = replace(composed, ind_bwd=composed.ind_fwd)
     orbit = indeterminacy_orbit(pair, 6, "fwd")
     assert orbit.flagged_at == [0, 0, 0]
-    start = np.array([p.coords for p in orbit.steps[0]])
+    start = orbit.steps[0]
     for step in orbit.steps[1:]:
-        assert np.array_equal(np.array([p.coords for p in step]).view(np.uint64), start.view(np.uint64))
+        assert np.array_equal(step.view(np.uint64), start.view(np.uint64))

@@ -7,9 +7,10 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from birlab import maps, measure, mixing, observables, potential, runner
+from birlab import genericity, maps, measure, mixing, observables, potential, projective, runner
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "birlab"
 
@@ -55,7 +56,8 @@ def test_jacobians_are_evaluated_only_by_the_differential_step():
 
 
 @pytest.mark.parametrize("name", ["eval_rows_checked", "FsForm", "ChartCoords", "RunManifest",
-                                  "correlation", "correlation_two_sided"])
+                                  "correlation", "correlation_two_sided", "min_set_distance",
+                                  "degree_sequence"])
 def test_removed_pass_through_names_stay_gone(name):
     defined = set()
     for path in sorted(SRC.glob("*.py")):
@@ -82,8 +84,17 @@ SIGNATURES = {
     "runner.compare_to_theory": (runner.compare_to_theory, ["summary", "pair", "alpha"]),
     "potential.v_n_rows": (potential.v_n_rows, ["series", "Z"]),
     "potential.v_n": (potential.v_n, ["series", "p"]),
+    # P^2 is the only space, so no entry point takes its dimension
+    "projective.sample_fs_rows": (projective.sample_fs_rows, ["count", "seed"]),
+    "projective.sample_fs": (projective.sample_fs, ["count", "seed"]),
+    "projective.chart_disc": (projective.chart_disc, ["seed", "count", "radius"]),
+    "potential.calibration_points": (potential.calibration_points, ["chart"]),
+    "mixing.split_lags": (mixing.split_lags, ["N"]),
 }
 FIELDS = {
+    # a pair holds only what varies between pairs: no k, no s
+    "BirationalPair": (maps.BirationalPair, ["fwd", "bwd", "ind_fwd", "ind_bwd", "regular", "meta"]),
+    "IndeterminacyOrbit": (genericity.IndeterminacyOrbit, ["steps", "flagged_at"]),
     "CnSequence": (mixing.CnSequence, ["c", "partial_sums", "stderr", "dropped_fraction"]),
     "CorrelationSeries": (mixing.CorrelationSeries, ["entries"]),
     "Observable": (observables.Observable, ["name", "smoothness", "norm_estimate", "fn"]),
@@ -176,3 +187,34 @@ def test_the_covariance_cells_have_one_kernel():
     for name in ("_orbit_values", "_boot_rng", "_check_lags"):
         assert _innermost(_calls_name(name)) == kernels
     assert _innermost(_calls_name("_weighted_cov_boot")) == {("mixing", "_cov_grid")}
+
+
+def test_points_are_built_only_at_the_scalar_edge():
+    # every array path stays on rows; a ProjPoint is made only where the scalar API returns one
+    assert _innermost(_calls_name("ProjPoint")) == {
+        ("projective", "normalize"), ("projective", "sample_fs"), ("maps", "eval_point"),
+    }
+
+
+def _assert_read_only_rows(rows, points):
+    assert rows.shape == (len(points), 3) and rows.dtype == complex
+    assert rows.flags.c_contiguous and not rows.flags.writeable
+    expect = np.array([p.coords for p in points])
+    assert np.array_equal(rows.view(np.uint64), expect.view(np.uint64))
+
+
+@pytest.mark.parametrize("p_coeffs", [[-1.2, 0.0, 1.0], [0.1, -1.0, 0.0, 1.0]])
+def test_henon_indeterminacy_sets_are_read_only_rows(p_coeffs):
+    pair = maps.make_henon(0.3, p_coeffs)
+    _assert_read_only_rows(pair.ind_fwd, [projective.normalize([1, 0, 0])])
+    _assert_read_only_rows(pair.ind_bwd, [projective.normalize([0, 1, 0])])
+
+
+@pytest.mark.parametrize("A", [np.eye(3), maps.random_unitary(7), [[1, 0, 2], [1, 1, -2], [1, -1, 0]]])
+def test_cremona_indeterminacy_sets_are_read_only_rows(A):
+    pair = maps.make_cremona_composed(A)
+    A_inv = np.linalg.inv(np.asarray(A, dtype=complex))
+    _assert_read_only_rows(pair.ind_fwd, [projective.normalize(A_inv @ e) for e in np.eye(3)])
+    _assert_read_only_rows(pair.ind_bwd, [projective.normalize(e) for e in np.eye(3)])
+    # the rows are left out of == and hash, as the compiled Jacobians are
+    assert pair == maps.make_cremona_composed(A) and hash(pair) == hash(maps.make_cremona_composed(A))

@@ -32,6 +32,7 @@ from birlab.maps import (
     wedge_density_rows,
 )
 from birlab.projective import (
+    ProjPoint,
     fs_distance,
     fs_distance_rows,
     normalize,
@@ -195,13 +196,11 @@ def test_wedge_density_dimension_guard():
 
 def test_make_henon_structure(henon):
     assert henon.d == 2 and henon.delta == 2
-    assert henon.k == 2 and henon.s == 1
     assert henon.regular is True
-    assert henon.d**henon.s == henon.delta ** (henon.k - henon.s)
     assert len(henon.ind_fwd) == 1
-    assert fs_distance(henon.ind_fwd[0], normalize([1, 0, 0])) < 1e-12
+    assert fs_distance(ProjPoint(henon.ind_fwd[0]), normalize([1, 0, 0])) < 1e-12
     assert len(henon.ind_bwd) == 1
-    assert fs_distance(henon.ind_bwd[0], normalize([0, 1, 0])) < 1e-12
+    assert fs_distance(ProjPoint(henon.ind_bwd[0]), normalize([0, 1, 0])) < 1e-12
 
 
 def test_make_henon_roundtrip(henon):
@@ -223,18 +222,13 @@ def test_make_henon_rejects_extra_arguments():
         make_henon(0.3, [-1.2, 0.0, 1.0], degree=2)
 
 
-def test_degree_sequence(henon):
-    # d_q = d^q for q <= s, then delta^(k-q)
-    assert henon.degree_sequence() == [1, 2, 1]
-
-
 def test_make_cremona_structure(cremona_j):
     assert cremona_j.d == 2 and cremona_j.delta == 2
     assert cremona_j.regular is False
     coords = [normalize(e) for e in np.eye(3)]
     for pt in coords:
-        assert min(fs_distance(pt, q) for q in cremona_j.ind_fwd) < 1e-12
-        assert min(fs_distance(pt, q) for q in cremona_j.ind_bwd) < 1e-12
+        assert min(fs_distance(pt, ProjPoint(q)) for q in cremona_j.ind_fwd) < 1e-12
+        assert min(fs_distance(pt, ProjPoint(q)) for q in cremona_j.ind_bwd) < 1e-12
     # J is the standard involution: [1:2:3] -> [6:3:2]
     img = eval_point(cremona_j.fwd, normalize([1, 2, 3]))
     assert fs_distance(img, normalize([6, 3, 2])) < 1e-12
@@ -310,7 +304,7 @@ def test_pullback_chain_matches_per_step_frames(name, direction):
 @pytest.mark.parametrize("name", ["classic_henon", "cremona"])
 def test_pullback_chain_freezes_rows_on_indeterminacy(name):
     pair = CHAIN_PAIRS[name]()
-    on_ind = np.array([q.coords for q in pair.ind_fwd])
+    on_ind = pair.ind_fwd
     Z0 = np.concatenate([on_ind, sample_fs_rows(20, 5)])
     H, alive = pullback_chain(pair, Z0, 4)
     dead = np.arange(len(on_ind))
@@ -322,7 +316,7 @@ def test_pullback_chain_freezes_rows_on_indeterminacy(name):
 def test_pullback_chain_freezes_rows_dying_later():
     # z = f^{-1}(q) for q on I(f) is alive for one step and dead after it
     pair = CHAIN_PAIRS["cremona"]()
-    Z0 = np.array([eval_point(pair.bwd, q).coords for q in pair.ind_fwd])
+    Z0 = np.array([eval_point(pair.bwd, ProjPoint(q)).coords for q in pair.ind_fwd])
     H1, alive1 = pullback_chain(pair, Z0, 1)
     H4, alive4 = pullback_chain(pair, Z0, 4)
     assert alive1.all() and not alive4.any()
@@ -349,7 +343,7 @@ PLANTED = np.array([CHAIN_CHUNK - 1, CHAIN_CHUNK, 2 * CHAIN_CHUNK + 20])
 def _rows_with_planted_indeterminacy(pair, direction):
     Z0 = sample_fs_rows(BOUNDARY_ROWS, 3)
     ind = pair.ind_fwd if direction == "fwd" else pair.ind_bwd
-    Z0[PLANTED] = ind[0].coords
+    Z0[PLANTED] = ind[0]
     return Z0
 
 
@@ -415,7 +409,7 @@ def test_scalar_pullback_is_one_row_of_the_chain(name, direction):
 @pytest.mark.parametrize("name", sorted(CHAIN_PAIRS))
 def test_step_rows_live_dead_and_layout(name):
     pair = CHAIN_PAIRS[name]()
-    on_ind = np.array([q.coords for q in pair.ind_fwd])
+    on_ind = pair.ind_fwd
     Z = sample_fs_rows(50, 3)
     W, _, alive = step_rows(pair.fwd, Z)
     assert alive.all()
@@ -491,7 +485,7 @@ def _random_pairs():
 def test_checked_step_is_projectively_invariant(pair, direction, seed, theta):
     map_rep = pair.map_for(direction)
     ind = pair.ind_fwd if direction == "fwd" else pair.ind_bwd
-    Z = np.concatenate([sample_fs_rows(32, seed), [q.coords for q in ind]])
+    Z = np.concatenate([sample_fs_rows(32, seed), ind])
     lam = np.exp(1j * theta)
     W, nrm, alive = step_rows(map_rep, Z)
     W_lam, nrm_lam, alive_lam = step_rows(map_rep, lam * Z)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from birlab import measure
-from birlab.errors import DegenerateCloud, DimensionMismatch, InvalidParam
-from birlab.maps import make_henon
+from birlab.errors import DegenerateCloud, InvalidParam
+from birlab.maps import make_henon, roundtrip_residuals
 from birlab.measure import (
     WeightedCloud,
     approx_T_plus_wedge_omega,
@@ -12,6 +12,7 @@ from birlab.measure import (
     invariance_defect,
 )
 from birlab.observables import observable_catalog
+from birlab.projective import sample_fs_rows
 
 
 @pytest.fixture(scope="module")
@@ -61,19 +62,23 @@ def test_mu_mass_within_three_sigma(henon):
     assert abs(cloud.raw_mean - 1.0759746442010314) < 1e-12
 
 
-def test_mu_requires_plane(henon):
-    from types import SimpleNamespace
-
-    fake = SimpleNamespace(k=3, d=henon.d, delta=henon.delta)
-    with pytest.raises(DimensionMismatch):
-        approx_mu(fake, 1, 1000, 1)
-
-
 def test_validation_errors(henon):
     with pytest.raises(InvalidParam):
         approx_mu(henon, -1, 1000, 1)
     with pytest.raises(InvalidParam):
         approx_mu(henon, 1, 0, 1)
+
+
+def test_negative_seeds_raise_a_typed_error(henon):
+    # sample_fs_rows owns every FS draw, so each caller rejects the seed through it
+    with pytest.raises(InvalidParam, match="seed"):
+        sample_fs_rows(3, -1)
+    with pytest.raises(InvalidParam, match="seed"):
+        approx_mu(henon, 1, 1000, -1)
+    with pytest.raises(InvalidParam, match="seed"):
+        approx_T_plus_wedge_omega(henon, 1, 1000, -3)
+    with pytest.raises(InvalidParam, match="seed"):
+        roundtrip_residuals(henon, 10, -1)
 
 
 def _broken_chain(broken):
@@ -136,7 +141,7 @@ def test_invariance_defect_positive_at_depth_zero(henon):
 
 def test_invariance_defect_all_images_dead_is_degenerate(henon):
     # every point of this cloud is I(f) = [1:0:0], so no image survives the step
-    ind = np.tile(henon.ind_fwd[0].coords, (4, 1))
+    ind = np.tile(henon.ind_fwd[0], (4, 1))
     cloud = WeightedCloud(
         points=ind, weights=np.full(4, 0.25), depth_m=0, seed=0,
         clip_quantile=1.0, dropped_count=0, raw_mean=1.0, raw_stderr=0.0,

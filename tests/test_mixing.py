@@ -29,7 +29,7 @@ from birlab.mixing import (
     _weighted_mean_boot,
 )
 from birlab.observables import Observable, observable_catalog
-from birlab.projective import sample_fs_rows
+from birlab.projective import ProjPoint, sample_fs_rows
 
 
 @pytest.fixture(scope="module")
@@ -215,8 +215,8 @@ def test_two_sided_backward_lags_stop_where_the_resample_tags_collide(henon, mu_
 def test_orbit_table_keeps_states_and_freezes_dead_rows():
     pair = make_cremona_composed(random_unitary(7))
     # rows on I(f) die at the first step, their preimages at the second
-    on_ind = [q.coords for q in pair.ind_fwd]
-    preimages = [eval_point(pair.bwd, q).coords for q in pair.ind_fwd]
+    on_ind = list(pair.ind_fwd)
+    preimages = [eval_point(pair.bwd, ProjPoint(q)).coords for q in pair.ind_fwd]
     cloud = _cloud_with(on_ind + preimages, count=50)
     table = OrbitTable(pair, cloud.points, "fwd")
     Z, alive = table.state(4)
@@ -239,7 +239,7 @@ def _cloud_across_slices(pair):
     under f and under f^-1 on both sides of the first slice boundary and in
     the last row."""
     points = sample_fs_rows(2 * CHAIN_CHUNK + 37, 5)
-    dies_fwd, dies_bwd = pair.ind_fwd[0].coords, pair.ind_bwd[0].coords
+    dies_fwd, dies_bwd = pair.ind_fwd[0], pair.ind_bwd[0]
     points[CHAIN_CHUNK - 1], points[CHAIN_CHUNK], points[-1] = dies_fwd, dies_bwd, dies_fwd
     w = np.random.default_rng(5).uniform(0.5, 1.5, size=len(points))
     return WeightedCloud(
@@ -333,17 +333,17 @@ def test_theoretical_rate_values(henon):
         theoretical_rate(henon, 2.5)
 
 
-def test_split_lags_examples(henon):
-    assert split_lags(henon, 10) == (5, 5)
-    assert split_lags(henon, 11) == (5, 6)
-    assert split_lags(henon, 0) == (0, 0)
+def test_split_lags_examples():
+    assert split_lags(10) == (5, 5)
+    assert split_lags(11) == (5, 6)
+    assert split_lags(0) == (0, 0)
 
 
 def test_split_lags_algebraic_identity(henon):
     # both halves sit within a factor d^(r/2) of the combined rate d^(-sN/2k)
-    d, delta, k, s = henon.d, henon.delta, henon.k, henon.s
+    d, delta, k, s = henon.d, henon.delta, 2, 1
     for N in range(101):
-        n, m = split_lags(henon, N)
+        n, m = split_lags(N)
         assert n + m == N
         r = N - k * (N // k)
         target = d ** (-s * N / (2.0 * k))
@@ -362,6 +362,21 @@ def test_decay_fit_recovers_planted_rate():
     assert abs(fit.rate - rate) < 1e-12
     assert abs(fit.r_squared - 1.0) < 1e-12
     assert fit.ci_low <= fit.rate <= fit.ci_high
+
+
+def test_decay_fit_rejects_a_negative_seed():
+    series = CorrelationSeries(entries=[(N, 2.0 ** (-N / 2), 1e-6, 0.0) for N in range(12)])
+    with pytest.raises(InvalidParam, match="seed"):
+        decay_fit(series, seed=-1)
+
+
+def test_cloud_seeds_past_32_bits_resample_on_their_own(henon, nu_small):
+    # the bootstrap keys on the whole cloud seed: 2**32 + 1 does not replay seed 1
+    bump = observable_catalog("affine-bump", {"radius": 2.0})
+    low = c_sequence(henon, bump, 2, replace(nu_small, seed=1))
+    high = c_sequence(henon, bump, 2, replace(nu_small, seed=2**32 + 1))
+    assert np.array_equal(low.c, high.c)
+    assert not np.array_equal(low.stderr, high.stderr)
 
 
 def test_decay_fit_constant_series():

@@ -14,7 +14,6 @@ from birlab.projective import (
     fs_distance,
     fs_distance_rows,
     from_chart_rows,
-    min_set_distance,
     normalize,
     sample_fs,
     sample_fs_rows,
@@ -152,13 +151,6 @@ def test_fs_metric_properties_random_triples():
     assert np.max(fs_distance_rows(A, A)) < 1e-10
 
 
-def test_min_set_distance():
-    ps = [normalize([1, 0, 0]), normalize([0, 1, 0])]
-    qs = [normalize([0, 0, 1]), normalize([1, 1, 0])]
-    got = min_set_distance(ps, qs)
-    assert abs(got - 1 / np.sqrt(2)) < 1e-12
-
-
 def test_sample_fs_empty_and_determinism():
     assert sample_fs(0, 1) == []
     a = sample_fs_rows(100, 42)
@@ -218,7 +210,7 @@ def test_tangent_frames_orthonormal():
 
 def test_tangent_frames_require_the_plane():
     with pytest.raises(DimensionMismatch):
-        tangent_frames(sample_fs_rows(10, 3, k=3))
+        tangent_frames(np.eye(4, dtype=complex))
     with pytest.raises(DimensionMismatch):
         tangent_frames(sample_fs_rows(1, 3)[0])
 
@@ -270,21 +262,19 @@ def test_from_chart_rows_equals_inserting_the_pivot(k):
 
 
 def test_proj_point_coordinates_are_read_only():
-    from birlab.genericity import indeterminacy_orbit
     from birlab.maps import eval_point, iterate, make_cremona_composed, make_henon, random_unitary
 
     henon = make_henon(0.3, [-1.2, 0.0, 1.0])
     p = normalize([0.3, -0.1, 1.0])
-    orbit = indeterminacy_orbit(make_cremona_composed(random_unitary(7)), 3)
+    pair = make_cremona_composed(random_unitary(7))
     points = (
         [p, eval_point(henon.fwd, p)]
         + iterate(henon, p, 3)
         + sample_fs(4, 9)
-        + [q for step in orbit.steps for q in step]
     )
-    for q in points:
+    for row in [q.coords for q in points] + [*pair.ind_fwd, *pair.ind_bwd]:
         with pytest.raises(ValueError):
-            q.coords[0] = 0.0
+            row[0] = 0.0
     # a row given to ProjPoint is frozen as a view; its array stays writable
     Z = sample_fs_rows(3, 1)
     q = ProjPoint(Z[0])
