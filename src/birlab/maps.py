@@ -33,11 +33,21 @@ deep chains.  The projection is taken as the double cross product
 nearly radial, and the expanded ``Y - w (w^dag Y)`` would leave only
 rounding in X.  All form densities are ratios against omega^2 and
 therefore independent of the overall metric normalization.
+
+Every loop over a batch of independent rows (the pullback chain here, the
+mixing estimators' orbits and the norm grid of ``observables``) runs
+through ``for_each_slice``: the fixed ``CHAIN_CHUNK``-row slices of
+``row_slices`` are taken in turn by the calling thread and one helper
+thread per further CPU, with no setting.  Each slice writes only its own
+rows, so outputs are bit-identical for any CPU count, and memory is the
+outputs plus one slice's working set per CPU.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,9 +56,18 @@ from .errors import DimensionMismatch, IndeterminacyProximity, InvalidParam
 from .projective import ProjPoint, canonicalize_rows, cross_rows, fix_phase_rows, tangent_frames
 
 EPS_IND = 1e-10
-# Rows per slice of ``pullback_chain`` and of the mixing estimators' orbits;
+# Rows per slice of ``pullback_chain``, of the mixing estimators' orbits and of the norm grid;
 # a power of two, so the Jacobian matmul blocks each slice's rows as it does the whole batch's.
-CHAIN_CHUNK = 16384
+CHAIN_CHUNK = 8192
+# Monomial entries (monomials x rows) per product of ``jacobian_rows``.  OpenBLAS
+# starts its own threads for a larger complex product (measured: 3 x 2048 entries
+# run on the calling thread, 3 x 4096 do not), and those threads would compete
+# for the CPUs on which ``for_each_slice`` already runs one slice each.
+JACOBIAN_BLOCK = 6144
+# CPUs this process may run on: ``for_each_slice`` walks slices on this many threads
+_CPUS = len(os.sched_getaffinity(0))
+# helper-thread pools of ``for_each_slice`` by size, each built on first use
+_POOLS = {}
 
 
 @dataclass(frozen=True)
@@ -169,12 +188,21 @@ class RationalMapRep:
         return np.moveaxis(np.stack([comp(Z) for comp in self.components]), 0, -1)
 
     def jacobian_rows(self, Z: np.ndarray) -> np.ndarray:
-        """Homogeneous Jacobian, shape ``(..., k+1, k+1)``, component-major."""
+        """Homogeneous Jacobian, shape ``(..., k+1, k+1)``, component-major.
+
+        The coefficient product runs in blocks of a power of two rows, with
+        ``JACOBIAN_BLOCK`` or fewer monomial entries per block, so that OpenBLAS
+        computes each block on the calling thread; a block's rows round as in
+        one product over the whole batch.
+        """
         Z = np.asarray(Z)
         n = self.nvars
-        M = _monomials(Z, self._jacobian_degree)
-        J = (self._jacobian.T @ M.reshape(len(M), -1)).reshape((n, n) + Z.shape[:-1])
-        return np.moveaxis(J, (0, 1), (-2, -1))
+        M = _monomials(Z, self._jacobian_degree).reshape(len(self._jacobian), -1)
+        block = 1 << ((JACOBIAN_BLOCK // len(M)).bit_length() - 1)
+        J = np.empty((n * n, M.shape[1]), dtype=complex)
+        for start in range(0, M.shape[1], block):
+            np.matmul(self._jacobian.T, M[:, start : start + block], out=J[:, start : start + block])
+        return np.moveaxis(J.reshape((n, n) + Z.shape[:-1]), (0, 1), (-2, -1))
 
 
 def identity_map() -> RationalMapRep:
@@ -235,6 +263,49 @@ def row_slices(count: int) -> list:
     """The fixed slices of ``CHAIN_CHUNK`` rows in which a batch of ``count``
     independent rows is walked, whose intermediates then stay in cache."""
     return [slice(start, min(start + CHAIN_CHUNK, count)) for start in range(0, count, CHAIN_CHUNK)]
+
+
+def for_each_slice(fn, count: int) -> list:
+    """``[fn(rows) for rows in row_slices(count)]``, with the slices walked
+    by the calling thread and one helper thread per further CPU.
+
+    ``fn`` must touch only its own rows of any shared output, so every
+    result is the same for any CPU count; with one CPU, or one slice, this
+    is the plain loop.  The caller drains the slices too, then cancels each
+    helper task that has not started: a call from inside ``fn`` therefore
+    never waits on a task queued behind its own.  An exception raised in
+    any slice re-raises here, and no helper is still running ``fn`` when
+    this returns or raises.
+    """
+    slices = row_slices(count)
+    helpers = min(_CPUS, len(slices)) - 1
+    if helpers <= 0:
+        return [fn(rows) for rows in slices]
+    if helpers not in _POOLS:
+        _POOLS[helpers] = futures.ThreadPoolExecutor(helpers, thread_name_prefix="birlab-slices")
+    results = [None] * len(slices)
+    # next() on a built-in iterator is one call under the interpreter lock,
+    # so each slice is handed to exactly one thread
+    todo = iter(enumerate(slices))
+
+    def drain():
+        try:
+            for i, rows in todo:
+                results[i] = fn(rows)
+        except BaseException:
+            for _ in todo:  # hand out no further slice
+                pass
+            raise
+
+    tasks = [_POOLS[helpers].submit(drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        started = [task for task in tasks if not task.cancel()]
+        futures.wait(started)
+    for task in started:
+        task.result()
+    return results
 
 
 def step_rows(map_rep: RationalMapRep, Z: np.ndarray):
@@ -317,21 +388,24 @@ def pullback_chain(pair: BirationalPair, Z0: np.ndarray, m: int, direction: str 
     are frozen at that step and flagged dead.
 
     Every row is independent, so the chain runs on the slices of
-    ``row_slices``, whose intermediates stay in cache, and writes
-    each slice into the outputs: memory is the outputs (65 B/row) plus
-    one slice's working set.
+    ``row_slices``, whose intermediates stay in cache, one per CPU at a
+    time (``for_each_slice``), and writes each slice into the outputs:
+    memory is the outputs (65 B/row) plus one slice's working set per CPU.
     """
     map_rep = pair.map_for(direction)
     Z0 = np.asarray(Z0, dtype=complex)
     H = np.empty((len(Z0), 2, 2), dtype=complex)
     alive = np.ones(len(Z0), dtype=bool)
-    for rows in row_slices(len(Z0)):
+
+    def chain(rows):
         Z = Z0[rows]
         X = tangent_frames(Z)
         for _ in range(m):
             Z, X, ok = differential_rows(map_rep, Z, X)
             alive[rows] &= ok
         H[rows] = _gram(X)
+
+    for_each_slice(chain, len(Z0))
     return H, alive
 
 

@@ -14,10 +14,12 @@ and ``two_sided_grid`` the whole grid.
 
 Each estimator keeps only what it reads: the observable's value and the
 alive mask at each lag, not the orbit states.  One walk, ``_orbit_values``,
-steps the cloud's rows in the fixed slices of ``maps.row_slices`` and
-evaluates the observable on each state once, so an estimator's memory is
-about 9 B per row per lag (a float and a mask byte) plus one slice's
-states.  The bootstrap reads whole lags, so the slices change no value.
+steps the cloud's rows in the fixed slices of ``maps.row_slices``, one per
+CPU at a time (``maps.for_each_slice``), and evaluates the observable on
+each state once, so an estimator's memory is about 9 B per row per lag (a
+float and a mask byte) plus one slice's states per CPU.  Each slice writes
+only its own rows and the bootstrap reads whole lags, so neither the
+slices nor the CPU count change any value.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCloud, InsufficientSignal, InvalidParam
-from .maps import BirationalPair, row_slices, step_rows
+from .maps import BirationalPair, for_each_slice, step_rows
 from .measure import WeightedCloud, effective_sample_size
 
 N_BOOT = 200
@@ -100,16 +102,19 @@ def _orbit_values(pair: BirationalPair, cloud: WeightedCloud, direction: str, fn
     and the alive mask of that state, for n = 0..n_max.
 
     Returns ``(values, alive)``, both of shape ``(n_max + 1, count)``.  The
-    rows are walked in the slices of ``row_slices``: one ``OrbitTable`` per
-    slice, dropped once its lags are written.
+    rows are walked in the slices of ``for_each_slice``: one ``OrbitTable``
+    per slice, dropped once its lags are written.
     """
     values = np.empty((n_max + 1, cloud.count))
     alive = np.empty((n_max + 1, cloud.count), dtype=bool)
-    for rows in row_slices(cloud.count):
+
+    def walk_slice(rows):
         table = OrbitTable(pair, cloud.points[rows], direction)
         for n in range(n_max + 1):
             Z, alive[n, rows] = table.state(n)
             values[n, rows] = fn(Z)
+
+    for_each_slice(walk_slice, cloud.count)
     return values, alive
 
 

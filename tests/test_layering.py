@@ -168,14 +168,42 @@ def _calls_name(name):
     return lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
 
 
+def _mentions(names):
+    """A name, attribute or imported module path that is one of ``names``."""
+    return lambda node: (
+        (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.alias) and not names.isdisjoint(node.name.split(".")))
+    )
+
+
+def test_one_function_starts_threads_and_none_reads_the_environment():
+    # the slice walk is the only concurrency, sized by the CPUs alone: no knob
+    threads = {"threading", "_thread", "Thread", "ThreadPoolExecutor", "ProcessPoolExecutor", "multiprocessing"}
+    assert _innermost(_mentions(threads)) == {("maps", "for_each_slice")}
+    assert _innermost(_mentions({"environ", "getenv"})) == set()
+
+
+def test_row_slices_are_walked_only_by_for_each_slice():
+    # every loop over the slices of a batch goes through the one pool
+    assert _innermost(_calls_name("row_slices")) == {("maps", "for_each_slice")}
+    callers = {module for module, _ in _innermost(_calls_name("for_each_slice"))}
+    assert callers == {"maps", "mixing", "observables"}
+
+
 def test_rows_are_crossed_by_one_kernel():
     assert _innermost(_calls("cross")) == set()
     assert _innermost(_calls_name("cross_rows")) == {("projective", "tangent_frames"), ("maps", "differential_rows")}
 
 
 def test_the_mixing_estimators_walk_their_orbits_in_one_place():
-    # one walk builds every OrbitTable, one slice at a time, and only the table steps
-    assert _innermost(_calls_name("OrbitTable")) == {("mixing", "_orbit_values")}
+    # the per-slice walk of _orbit_values builds every OrbitTable, and only the table steps
+    assert _innermost(_calls_name("OrbitTable")) == {("mixing", "walk_slice")}
+    # walk_slice is nested in _orbit_values and handed to the slice pool, never called directly
+    orbit_values = _mixing_function("_orbit_values")
+    nested = [node.name for node in ast.walk(orbit_values) if isinstance(node, ast.FunctionDef)]
+    assert nested == ["_orbit_values", "walk_slice"]
+    assert _innermost(_calls_name("walk_slice")) == set()
     steps = {owner for module, owner in _innermost(_calls_name("step_rows")) if module == "mixing"}
     assert steps == {"advance_to"}
 

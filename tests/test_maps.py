@@ -1,4 +1,6 @@
 import itertools
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from birlab import maps
 from birlab.errors import (
     DimensionMismatch,
     IndeterminacyProximity,
@@ -16,6 +19,7 @@ from birlab.maps import (
     HomogeneousPolynomial,
     differential_rows,
     eval_point,
+    for_each_slice,
     fs_pullback_form,
     identity_map,
     iterate,
@@ -27,6 +31,7 @@ from birlab.maps import (
     pullback_density,
     random_unitary,
     roundtrip_residuals,
+    row_slices,
     step_rows,
     wedge_density,
     wedge_density_rows,
@@ -383,16 +388,118 @@ def test_eval_rows_rounds_a_row_alike_in_any_split_of_the_batch(name, direction,
     np.testing.assert_array_equal(np.concatenate(parts), map_rep.eval_rows(Z))
 
 
+@pytest.mark.parametrize("name", sorted(FOUR_PAIRS))
+@pytest.mark.parametrize("count", [1, 37, 2048, 3 * 2048 + 3, CHAIN_CHUNK + 37])
+def test_blocked_jacobian_product_equals_one_product(name, count):
+    pair = FOUR_PAIRS[name]()
+    Z = sample_fs_rows(count, 17)
+    for map_rep in (pair.fwd, pair.bwd):
+        M = maps._monomials(Z, map_rep._jacobian_degree)
+        J = (map_rep._jacobian.T @ M.reshape(len(M), -1)).reshape((3, 3, count))
+        np.testing.assert_array_equal(map_rep.jacobian_rows(Z), np.moveaxis(J, (0, 1), (-2, -1)))
+
+
 def test_chain_memory_is_its_outputs_and_one_slice():
     pair = make_henon(0.05, [0.0, 0.0, 1.0])
-    Z0 = sample_fs_rows(8 * CHAIN_CHUNK, 11)
+    Z0 = sample_fs_rows(16 * CHAIN_CHUNK, 11)
     tracemalloc.start()
     try:
         H, alive = pullback_chain(pair, Z0, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - (H.nbytes + alive.nbytes) <= 1024 * CHAIN_CHUNK
+    # 1 KiB per row in flight: one slice on each CPU
+    in_flight = min(maps._CPUS, len(row_slices(len(Z0))))
+    assert peak - (H.nbytes + alive.nbytes) <= 1024 * CHAIN_CHUNK * in_flight
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_slice_results_come_back_in_slice_order(monkeypatch, cpus):
+    monkeypatch.setattr(maps, "_CPUS", cpus)
+    caller = threading.current_thread()
+    threads = set()
+
+    def fn(rows):
+        threads.add(threading.current_thread())
+        if rows.start == 0:
+            time.sleep(0.05)  # the helper finishes later slices first
+        return rows.start
+
+    count = 5 * CHAIN_CHUNK + 1
+    assert for_each_slice(fn, count) == [rows.start for rows in row_slices(count)]
+    if cpus == 1:
+        # one CPU walks every slice on the caller, with no thread started
+        assert threads == {caller}
+
+
+def test_a_nested_call_inside_a_helper_returns(monkeypatch):
+    # the one helper is busy with the outer slice, so the inner call's queued task
+    # never starts: the inner caller drains its slices alone and cancels that task
+    monkeypatch.setattr(maps, "_CPUS", 2)
+    count = 3 * CHAIN_CHUNK
+    caller, results = [], []
+    helper_ran = threading.Event()
+
+    def outer(rows):
+        on_caller = threading.current_thread() is caller[0]
+        if on_caller:
+            helper_ran.wait(10)  # hand the helper a slice
+        total = sum(for_each_slice(lambda inner: inner.stop - inner.start, count))
+        if not on_caller:
+            helper_ran.set()
+        return total
+
+    def run():
+        caller.append(threading.current_thread())
+        results.append(for_each_slice(outer, count))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(20)
+    assert not thread.is_alive()
+    assert helper_ran.is_set()
+    assert results == [[count] * 3]
+
+
+@pytest.mark.parametrize("raiser", ["caller", "helper"])
+def test_an_error_in_one_slice_reaches_the_caller_with_its_type(monkeypatch, raiser):
+    monkeypatch.setattr(maps, "_CPUS", 2)
+    caller = threading.current_thread()
+    helper_started = threading.Event()
+    running = []
+
+    def fn(rows):
+        running.append(rows)
+        try:
+            on_caller = threading.current_thread() is caller
+            if on_caller:
+                helper_started.wait(10)
+            else:
+                helper_started.set()
+            if on_caller == (raiser == "caller"):
+                raise InvalidParam(f"slice at row {rows.start}")
+            time.sleep(0.01)
+        finally:
+            running.remove(rows)
+
+    with pytest.raises(InvalidParam, match="slice at row"):
+        for_each_slice(fn, 4 * CHAIN_CHUNK)
+    # no slice is still running once the error is out
+    assert helper_started.is_set() and running == []
+
+
+@pytest.mark.parametrize("name", sorted(FOUR_PAIRS))
+@pytest.mark.parametrize("direction", ["fwd", "bwd"])
+def test_chain_outputs_do_not_depend_on_the_cpu_count(monkeypatch, name, direction):
+    pair = FOUR_PAIRS[name]()
+    Z0 = _rows_with_planted_indeterminacy(pair, direction)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(maps, "_CPUS", cpus)
+        runs.append(pullback_chain(pair, Z0, 6, direction))
+    for one, two in zip(*runs, strict=True):
+        np.testing.assert_array_equal(one, two)
+    _assert_planted_rows_dead_and_frozen(6, *runs[1])
 
 
 @pytest.mark.parametrize("name", ["classic_henon", "cremona"])

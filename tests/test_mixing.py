@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from birlab import maps
 from birlab.errors import DegenerateCloud, InsufficientSignal, InvalidParam
 from birlab.maps import CHAIN_CHUNK, eval_point, make_cremona_composed, make_henon, random_unitary
 from birlab.measure import WeightedCloud, approx_T_plus_wedge_omega, approx_mu
@@ -306,9 +307,25 @@ def test_slice_boundaries_move_a_cremona_pair_only_in_rounding():
         _assert_slices_are_invisible(make_cremona_composed(random_unitary(7)), phi, psi)
 
 
+@pytest.mark.parametrize("pair", [make_henon(0.3, [-1.2, 0.0, 1.0]), make_cremona_composed(random_unitary(7))],
+                         ids=["henon", "cremona"])
+def test_estimates_do_not_depend_on_the_cpu_count(monkeypatch, pair):
+    phi = observable_catalog("fs-coordinate", {"index": 0})
+    psi = observable_catalog("affine-bump", {"radius": 2.0})
+    cloud = _cloud_across_slices(pair)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(maps, "_CPUS", cpus)
+        runs.append(_sliced_estimates(pair, phi, psi, cloud, 3))
+    (series_1, grid_1, seq_1), (series_2, grid_2, seq_2) = runs
+    assert series_1 == series_2 and grid_1 == grid_2
+    for one, two in zip(seq_1, seq_2, strict=True):
+        assert np.array_equal(one, two)
+
+
 def test_correlation_series_keeps_values_and_masks_not_states(henon):
     # each kept orbit state is 48 B per row per lag; a value and a mask byte are 9 B
-    rows, lags = 4 * CHAIN_CHUNK, 11
+    rows, lags = 8 * CHAIN_CHUNK, 11
     cloud = _cloud_with(np.empty((0, 3)), count=rows)
     phi = observable_catalog("fs-coordinate", {"index": 0})
     tracemalloc.start()

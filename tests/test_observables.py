@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birlab import observables
+from birlab import maps, observables
 from birlab.errors import InvalidParam
 from birlab.observables import (
     NORM_CHART,
@@ -224,6 +224,15 @@ def test_sliced_norm_grid_equals_the_full_grid(observable):
         assert estimate_norm(fn, smoothness) == want
     except InvalidParam:
         assert np.max(np.abs(fn(from_chart_rows(_norm_grid(), NORM_CHART)))) == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(observables._BUILDERS))
+def test_norm_estimates_do_not_depend_on_the_cpu_count(monkeypatch, name):
+    estimates = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(maps, "_CPUS", cpus)
+        estimates.append(observable_catalog(name).norm_estimate.hex())
+    assert estimates[0] == estimates[1]
 
 
 def test_one_norm_estimate_keeps_one_slice_of_the_grid():
