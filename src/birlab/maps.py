@@ -14,15 +14,15 @@ checked step, ``step_rows``: one evaluation of F, one norm, dead rows
 (``||F|| < EPS_IND``, numerically on I(f)) returned unchanged.
 
 Differentials of the induced map on P^2 come from the homogeneous
-Jacobian J(z), compiled once per map into a coefficient matrix over the
-degree-(d-1) monomials.  A pullback chain takes one Hermitian-orthonormal
-frame X of the tangent space z^perp at the start point and pushes it
-along the orbit, ``X <- P_w J(z) X / ||F(z)||`` with ``w = F/||F||`` and
-``P_w = I - w w^dag`` the projection onto w^perp.  After m steps
-``H = X^dag X`` is the pullback of the FS form, written in the start
-frame.  This is the product of the per-step differentials between
-orthonormal frames, since ``B B^dag = P_w`` for any such frame B of
-w^perp, but no frame is built after the first.
+Jacobian J(z), each entry a sum over the terms of one formal partial,
+taken elementwise over the rows, so a row rounds the same in any batch.
+A pullback chain takes one Hermitian-orthonormal frame X of the tangent
+space z^perp at the start point and pushes it along the orbit,
+``X <- P_w J(z) X / ||F(z)||`` with ``w = F/||F||`` and ``P_w = I - w w^dag``
+the projection onto w^perp.  After m steps ``H = X^dag X`` is the pullback
+of the FS form, written in the start frame.  This is the product of the
+per-step differentials between orthonormal frames, since ``B B^dag = P_w``
+for any such frame B of w^perp, but no frame is built after the first.
 
 The projection stays at every step.  Euler's identity ``J z = d F(z)``
 means the radial part of X would cancel at the end in exact arithmetic,
@@ -45,7 +45,6 @@ outputs plus one slice's working set per CPU.
 
 from __future__ import annotations
 
-import itertools
 import os
 from concurrent import futures
 from dataclasses import dataclass, field
@@ -56,14 +55,8 @@ from .errors import DimensionMismatch, IndeterminacyProximity, InvalidParam
 from .projective import ProjPoint, canonicalize_rows, cross_rows, fix_phase_rows, tangent_frames
 
 EPS_IND = 1e-10
-# Rows per slice of ``pullback_chain``, of the mixing estimators' orbits and of the norm grid;
-# a power of two, so the Jacobian matmul blocks each slice's rows as it does the whole batch's.
+# Rows per slice of ``pullback_chain``, of the mixing estimators' orbits and of the norm grid
 CHAIN_CHUNK = 8192
-# Monomial entries (monomials x rows) per product of ``jacobian_rows``.  OpenBLAS
-# starts its own threads for a larger complex product (measured: 3 x 2048 entries
-# run on the calling thread, 3 x 4096 do not), and those threads would compete
-# for the CPUs on which ``for_each_slice`` already runs one slice each.
-JACOBIAN_BLOCK = 6144
 # CPUs this process may run on: ``for_each_slice`` walks slices on this many threads
 _CPUS = len(os.sched_getaffinity(0))
 # helper-thread pools of ``for_each_slice`` by size, each built on first use
@@ -115,30 +108,6 @@ class HomogeneousPolynomial:
         return HomogeneousPolynomial(degree=max(self.degree - 1, 0), terms=tuple(terms))
 
 
-def _monomial_exponents(nvars: int, degree: int) -> tuple:
-    """Exponent tuples of the degree-``degree`` monomials in ``nvars`` variables.
-
-    Listed in ``itertools.combinations_with_replacement`` order, which is
-    the order in which ``_monomials`` builds them.
-    """
-    return tuple(
-        tuple(combo.count(v) for v in range(nvars))
-        for combo in itertools.combinations_with_replacement(range(nvars), degree)
-    )
-
-
-def _monomials(Z: np.ndarray, degree: int) -> np.ndarray:
-    """Degree-``degree`` monomials of the rows ``Z``, shape ``(count, ...)``."""
-    if degree == 0:
-        return np.ones((1,) + Z.shape[:-1], dtype=complex)
-    # each monomial extended only by variables >= its last one: every
-    # monomial appears once, in combinations_with_replacement order
-    cols = [(Z[..., v], v) for v in range(Z.shape[-1])]
-    for _ in range(degree - 1):
-        cols = [(col * Z[..., v], v) for col, last in cols for v in range(last, Z.shape[-1])]
-    return np.stack([col for col, _ in cols])
-
-
 def _component_major(A: np.ndarray) -> np.ndarray:
     """``A`` with its first axis innermost in memory; no copy if it already is.
 
@@ -152,32 +121,19 @@ def _component_major(A: np.ndarray) -> np.ndarray:
 class RationalMapRep:
     """A rational map of P^k as k+1 homogeneous components of equal degree.
 
-    ``_jacobian`` holds the formal partials as a coefficient matrix: row r
-    belongs to the r-th degree-(d-1) monomial, column ``i*(k+1) + j`` to
-    dF_i/dz_j.
+    ``_partials[i][j]`` is the formal partial dF_i/dz_j.
     """
 
     components: tuple
     degree: int
-    _jacobian: np.ndarray = field(default=None, repr=False, compare=False)
+    _partials: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for comp in self.components:
             if comp.degree != self.degree:
                 raise InvalidParam("component degrees differ")
-        n = self.nvars
-        row = {exps: r for r, exps in enumerate(_monomial_exponents(n, self._jacobian_degree))}
-        coeffs = np.zeros((len(row), n * n), dtype=complex)
-        for i, comp in enumerate(self.components):
-            for j in range(n):
-                for exps, c in comp.partial(j).terms:
-                    coeffs[row[exps], i * n + j] += c
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "_jacobian", coeffs)
-
-    @property
-    def _jacobian_degree(self) -> int:
-        return max(self.degree - 1, 0)
+        partials = tuple(tuple(comp.partial(j) for j in range(self.nvars)) for comp in self.components)
+        object.__setattr__(self, "_partials", partials)
 
     @property
     def nvars(self) -> int:
@@ -190,19 +146,29 @@ class RationalMapRep:
     def jacobian_rows(self, Z: np.ndarray) -> np.ndarray:
         """Homogeneous Jacobian, shape ``(..., k+1, k+1)``, component-major.
 
-        The coefficient product runs in blocks of a power of two rows, with
-        ``JACOBIAN_BLOCK`` or fewer monomial entries per block, so that OpenBLAS
-        computes each block on the calling thread; a block's rows round as in
-        one product over the whole batch.
+        Entry (i, j) sums ``c * z^e`` over the terms of dF_i/dz_j in term
+        order, each monomial a product of coordinate columns.  Every step is
+        elementwise, so a row rounds the same in any batch.
         """
         Z = np.asarray(Z)
         n = self.nvars
-        M = _monomials(Z, self._jacobian_degree).reshape(len(self._jacobian), -1)
-        block = 1 << ((JACOBIAN_BLOCK // len(M)).bit_length() - 1)
-        J = np.empty((n * n, M.shape[1]), dtype=complex)
-        for start in range(0, M.shape[1], block):
-            np.matmul(self._jacobian.T, M[:, start : start + block], out=J[:, start : start + block])
-        return np.moveaxis(J.reshape((n, n) + Z.shape[:-1]), (0, 1), (-2, -1))
+        monomials = {}
+
+        def monomial(exps):
+            if exps not in monomials:
+                factors = [Z[..., v] for v, e in enumerate(exps) for _ in range(e)]
+                t = factors[0] if factors else np.ones(Z.shape[:-1], dtype=complex)
+                for col in factors[1:]:
+                    t = t * col
+                monomials[exps] = t
+            return monomials[exps]
+
+        J = np.zeros((n, n) + Z.shape[:-1], dtype=complex)
+        for i, row in enumerate(self._partials):
+            for j, partial in enumerate(row):
+                for exps, c in partial.terms:
+                    J[i, j] += monomial(exps) * c
+        return np.moveaxis(J, (0, 1), (-2, -1))
 
 
 def identity_map() -> RationalMapRep:
@@ -416,8 +382,7 @@ def _gram(X: np.ndarray) -> np.ndarray:
 
 def fs_pullback_form(map_rep: RationalMapRep, p: ProjPoint) -> np.ndarray:
     """f^* omega at p as a PSD Hermitian 2x2 matrix in the frame ``tangent_frames``
-    gives p: a one-row ``pullback_chain`` at m = 1.  Inside a larger batch the row can
-    differ in its last bits, as ``jacobian_rows`` (OpenBLAS) rounds by batch length."""
+    gives p: p's row of ``pullback_chain`` at m = 1, bit for bit, in any batch."""
     Z = p.coords[None, :]
     _, X, alive = differential_rows(map_rep, Z, tangent_frames(Z))
     if not alive[0]:
@@ -426,7 +391,7 @@ def fs_pullback_form(map_rep: RationalMapRep, p: ProjPoint) -> np.ndarray:
 
 
 def pullback_density(map_rep: RationalMapRep, p: ProjPoint) -> float:
-    """Density of f^* omega wedge omega against omega^2: tr/2, rounded as ``fs_pullback_form``."""
+    """Density of f^* omega wedge omega against omega^2: tr/2 of ``fs_pullback_form``."""
     return float(np.real(np.trace(fs_pullback_form(map_rep, p))) / 2)
 
 
@@ -504,8 +469,10 @@ def make_cremona_composed(A: np.ndarray) -> BirationalPair:
     A = np.asarray(A, dtype=complex)
     if A.shape != (3, 3):
         raise InvalidParam("A must be a 3x3 matrix")
-    if abs(np.linalg.det(A)) < 1e-12:
-        raise InvalidParam("A is numerically singular")
+    # scale-free, as cA is the same map as A for any c != 0; the Frobenius
+    # condition number needs only an inverse, and is NaN for a non-finite A
+    if not np.linalg.cond(A, "fro") <= 1e12:
+        raise InvalidParam("A is numerically singular or not finite")
     A_inv = np.linalg.inv(A)
 
     # fwd components: quadratic forms (Ax)_i (Ax)_j expanded monomially

@@ -432,10 +432,16 @@ def test_cn_csv_cells_are_plain_numbers(tmp_path):
             "observables.0",
             "affine-bump",
         ),
+        (
+            "genericity_cremona",
+            {"params": {"matrix": [[1e6, 0, 0], [0, 1e6, 0], [0, 0, 1e-7]]}},
+            "map.params",
+            "singular",
+        ),
     ],
     ids=[
         "p_coeffs-not-a-list", "unitary_seed-not-an-int", "cx-a-pair", "a-zero", "radius-zero", "raduis-unknown",
-        "bump-off-the-norm-grid",
+        "bump-off-the-norm-grid", "matrix-ill-conditioned",
     ],
 )
 def test_bad_map_and_observable_values_are_config_errors(tmp_path, capsys, config, change, where, field):

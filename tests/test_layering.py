@@ -55,9 +55,19 @@ def test_jacobians_are_evaluated_only_by_the_differential_step():
     assert _innermost(_calls("jacobian_rows")) == {("maps", "differential_rows")}
 
 
+def test_maps_has_no_matrix_product():
+    # a BLAS product rounds a row by the length of its batch; the row kernels stay elementwise
+    def product(node):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)):
+            return isinstance(node.op, ast.MatMult)
+        return _calls("matmul")(node) or _calls("dot")(node)
+
+    assert {owner for module, owner in _innermost(product) if module == "maps"} == set()
+
+
 @pytest.mark.parametrize("name", ["eval_rows_checked", "FsForm", "ChartCoords", "RunManifest",
                                   "correlation", "correlation_two_sided", "min_set_distance",
-                                  "degree_sequence"])
+                                  "degree_sequence", "JACOBIAN_BLOCK", "_monomials", "_monomial_exponents"])
 def test_removed_pass_through_names_stay_gone(name):
     defined = set()
     for path in sorted(SRC.glob("*.py")):

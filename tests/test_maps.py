@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from birlab import maps
@@ -251,6 +251,29 @@ def test_make_cremona_rejects_singular():
         make_cremona_composed(A)
 
 
+@pytest.mark.parametrize("A", [1e6 * np.diag([1.0, 1.0, 1e-13]), np.diag([1.0, np.nan, 1.0])])
+def test_make_cremona_rejects_ill_conditioned_or_non_finite(A):
+    # the first has det 1e5, which an absolute det test accepts, but cond 1e13
+    with pytest.raises(InvalidParam):
+        make_cremona_composed(A)
+
+
+@pytest.mark.parametrize("A", [np.eye(3), random_unitary(7)])
+@pytest.mark.parametrize("scale", [1e-5, 1e5])
+def test_make_cremona_accepts_any_scale_of_a_regular_matrix(A, scale):
+    # cA is the same projective map as A, so the singularity test is scale-free
+    pair, scaled = make_cremona_composed(A), make_cremona_composed(scale * A)
+    Z = sample_fs_rows(200, 3)
+    for direction in ("fwd", "bwd"):
+        # unchecked images: the scaled fwd map's ||F|| can fall below EPS_IND
+        W, W_scaled = (
+            F / np.linalg.norm(F, axis=-1, keepdims=True)
+            for F in (pair.map_for(direction).eval_rows(Z), scaled.map_for(direction).eval_rows(Z))
+        )
+        assert np.all(fs_distance_rows(W, W_scaled) <= 1e-12)
+    assert np.all(fs_distance_rows(pair.ind_fwd, scaled.ind_fwd) <= 1e-12)
+
+
 def test_random_unitary_is_unitary():
     U = random_unitary(7)
     assert np.allclose(U @ np.conj(U).T, np.eye(3), atol=1e-12)
@@ -388,15 +411,25 @@ def test_eval_rows_rounds_a_row_alike_in_any_split_of_the_batch(name, direction,
     np.testing.assert_array_equal(np.concatenate(parts), map_rep.eval_rows(Z))
 
 
+SPLIT_ROWS = 2003
+
+
 @pytest.mark.parametrize("name", sorted(FOUR_PAIRS))
-@pytest.mark.parametrize("count", [1, 37, 2048, 3 * 2048 + 3, CHAIN_CHUNK + 37])
-def test_blocked_jacobian_product_equals_one_product(name, count):
+@pytest.mark.parametrize("direction", ["fwd", "bwd"])
+@pytest.mark.parametrize("m", [1, 6])
+@settings(max_examples=8, deadline=None)
+@given(cuts=st.lists(st.integers(1, SPLIT_ROWS - 1), min_size=1, max_size=6, unique=True))
+@example(cuts=[1])
+@example(cuts=[SPLIT_ROWS // 2, SPLIT_ROWS // 2 + 1, SPLIT_ROWS - 1])
+def test_chain_rounds_a_row_alike_in_any_split_of_the_batch(name, direction, m, cuts):
     pair = FOUR_PAIRS[name]()
-    Z = sample_fs_rows(count, 17)
-    for map_rep in (pair.fwd, pair.bwd):
-        M = maps._monomials(Z, map_rep._jacobian_degree)
-        J = (map_rep._jacobian.T @ M.reshape(len(M), -1)).reshape((3, 3, count))
-        np.testing.assert_array_equal(map_rep.jacobian_rows(Z), np.moveaxis(J, (0, 1), (-2, -1)))
+    Z0 = sample_fs_rows(SPLIT_ROWS, 19)
+    # two rows on the indeterminacy set of the chain's map, so that alive is split too
+    Z0[[5, SPLIT_ROWS // 2]] = (pair.ind_fwd if direction == "fwd" else pair.ind_bwd)[0]
+    bounds = [0, *sorted(cuts), len(Z0)]
+    parts = [pullback_chain(pair, Z0[lo:hi], m, direction) for lo, hi in zip(bounds, bounds[1:])]
+    for got, ref in zip(map(np.concatenate, zip(*parts)), pullback_chain(pair, Z0, m, direction), strict=True):
+        np.testing.assert_array_equal(got, ref)
 
 
 def test_chain_memory_is_its_outputs_and_one_slice():
@@ -507,10 +540,12 @@ def test_chain_outputs_do_not_depend_on_the_cpu_count(monkeypatch, name, directi
 def test_scalar_pullback_is_one_row_of_the_chain(name, direction):
     pair = CHAIN_PAIRS[name]()
     map_rep = pair.map_for(direction)
-    for p in sample_fs(500, 43):
-        H = pullback_chain(pair, p.coords[None], 1, direction)[0][0]
-        assert np.array_equal(fs_pullback_form(map_rep, p), H)
-        assert pullback_density(map_rep, p) == np.real(np.trace(H)) / 2
+    points = sample_fs(500, 43)
+    # each point's row inside the whole batch, not a one-row chain
+    H, _ = pullback_chain(pair, np.array([p.coords for p in points]), 1, direction)
+    for p, H_p in zip(points, H, strict=True):
+        assert np.array_equal(fs_pullback_form(map_rep, p), H_p)
+        assert pullback_density(map_rep, p) == np.real(np.trace(H_p)) / 2
 
 
 @pytest.mark.parametrize("name", sorted(CHAIN_PAIRS))
@@ -568,8 +603,8 @@ def test_compiled_jacobian_matches_partials_and_euler(map_rep, seed):
     # Euler's identity for homogeneous F of degree d: J z = d F(z)
     Jz = np.einsum("nij,nj->ni", J, Z)
     assert np.max(np.abs(Jz - map_rep.degree * map_rep.eval_rows(Z))) <= 1e-12 * scale
-    # a single point gives the same matrix as its row
-    assert np.allclose(map_rep.jacobian_rows(Z[3]), J[3], rtol=0, atol=1e-14 * scale)
+    # a one-row batch gives its row's matrix, bit for bit
+    np.testing.assert_array_equal(map_rep.jacobian_rows(Z[3:4]), J[3:4])
 
 
 def _random_pairs():
