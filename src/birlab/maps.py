@@ -13,9 +13,9 @@ Every orbit, here and in ``potential`` and ``genericity``, advances by one
 checked step, ``step_rows``: one evaluation of F, one norm, dead rows
 (``||F|| < EPS_IND``, numerically on I(f)) returned unchanged.
 
-Differentials of the induced map on P^2 come from the homogeneous
-Jacobian J(z), each entry a sum over the terms of one formal partial,
-taken elementwise over the rows, so a row rounds the same in any batch.
+Every polynomial, a component of F or an entry dF_i/dz_j of the
+homogeneous Jacobian J(z), is evaluated by one term loop, ``_add_terms``,
+elementwise over the rows, so a row rounds the same in any batch.
 A pullback chain takes one Hermitian-orthonormal frame X of the tangent
 space z^perp at the start point and pushes it along the orbit,
 ``X <- P_w J(z) X / ||F(z)||`` with ``w = F/||F||`` and ``P_w = I - w w^dag``
@@ -48,6 +48,7 @@ from __future__ import annotations
 import os
 from concurrent import futures
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,8 @@ class HomogeneousPolynomial:
     def from_dict(cls, degree: int, coeffs: dict) -> "HomogeneousPolynomial":
         terms = []
         for exps, c in sorted(coeffs.items()):
+            if not all(isinstance(e, (int, np.integer)) and e >= 0 for e in exps):
+                raise InvalidParam(f"multi-index {exps} has an exponent that is not a non-negative integer")
             if sum(exps) != degree:
                 raise InvalidParam(f"multi-index {exps} does not sum to degree {degree}")
             if c != 0:
@@ -83,19 +86,7 @@ class HomogeneousPolynomial:
         return cls(degree=degree, terms=tuple(terms))
 
     def __call__(self, Z: np.ndarray) -> np.ndarray:
-        Z = np.asarray(Z)
-        out = np.zeros(Z.shape[:-1], dtype=complex)
-        for exps, c in self.terms:
-            t = np.full(Z.shape[:-1], c, dtype=complex)
-            for j, e in enumerate(exps):
-                if e == 1:
-                    t = t * Z[..., j]
-                elif e > 1:
-                    # the power's temporary on the left keeps one operand order at
-                    # any batch size; numpy's complex product is not commutative
-                    t = Z[..., j] ** e * t
-            out += t
-        return out
+        return _add_terms(self, np.asarray(Z), np.zeros(np.shape(Z)[:-1], dtype=complex))
 
     def partial(self, var: int) -> "HomogeneousPolynomial":
         """Formal partial derivative (may be the zero polynomial)."""
@@ -106,6 +97,22 @@ class HomogeneousPolynomial:
                 new[var] -= 1
                 terms.append((tuple(new), c * exps[var]))
         return HomogeneousPolynomial(degree=max(self.degree - 1, 0), terms=tuple(terms))
+
+
+def _add_terms(poly: HomogeneousPolynomial, Z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Add ``poly`` at the rows of ``Z`` into ``out``, one term ``c * z^e`` at a time
+    in term order; returns ``out``.  Every polynomial is evaluated here."""
+    for exps, c in poly.terms:
+        t = np.asarray(c)
+        for j, e in enumerate(exps):
+            if e == 1:
+                t = t * Z[..., j]
+            elif e > 1:
+                # the power's temporary on the left keeps one operand order at
+                # any batch size; numpy's complex product is not commutative
+                t = Z[..., j] ** e * t
+        out += t
+    return out
 
 
 def _component_major(A: np.ndarray) -> np.ndarray:
@@ -119,74 +126,53 @@ def _component_major(A: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RationalMapRep:
-    """A rational map of P^k as k+1 homogeneous components of equal degree.
-
-    ``_partials[i][j]`` is the formal partial dF_i/dz_j.
-    """
+    """A rational map of P^k as k+1 homogeneous components of equal degree."""
 
     components: tuple
-    degree: int
-    _partials: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.components:
+            raise InvalidParam("a map needs at least one component")
         for comp in self.components:
             if comp.degree != self.degree:
                 raise InvalidParam("component degrees differ")
-        partials = tuple(tuple(comp.partial(j) for j in range(self.nvars)) for comp in self.components)
-        object.__setattr__(self, "_partials", partials)
+            if any(len(exps) != self.nvars for exps, _ in comp.terms):
+                raise InvalidParam(f"a multi-index of a component does not have {self.nvars} entries")
 
     @property
     def nvars(self) -> int:
         return len(self.components)
 
+    @property
+    def degree(self) -> int:
+        """The components' common degree, checked equal when the map is built."""
+        return self.components[0].degree
+
+    @cached_property
+    def _partials(self) -> tuple:
+        """``_partials[i][j]`` is the formal partial dF_i/dz_j."""
+        return tuple(tuple(comp.partial(j) for j in range(self.nvars)) for comp in self.components)
+
     def eval_rows(self, Z: np.ndarray) -> np.ndarray:
         """Components at each row, shape ``(..., k+1)``, component-major."""
-        return np.moveaxis(np.stack([comp(Z) for comp in self.components]), 0, -1)
+        Z = np.asarray(Z)
+        F = np.zeros((self.nvars,) + Z.shape[:-1], dtype=complex)
+        for i, comp in enumerate(self.components):
+            # F[i, ...] is a view even for one row, where F[i] would be a copy
+            _add_terms(comp, Z, F[i, ...])
+        return np.moveaxis(F, 0, -1)
 
     def jacobian_rows(self, Z: np.ndarray) -> np.ndarray:
         """Homogeneous Jacobian, shape ``(..., k+1, k+1)``, component-major.
 
-        Entry (i, j) sums ``c * z^e`` over the terms of dF_i/dz_j in term
-        order, each monomial a product of coordinate columns.  Every step is
-        elementwise, so a row rounds the same in any batch.
+        Entry (i, j) is dF_i/dz_j, evaluated by ``_add_terms`` as F is.
         """
         Z = np.asarray(Z)
-        n = self.nvars
-        monomials = {}
-
-        def monomial(exps):
-            if exps not in monomials:
-                factors = [Z[..., v] for v, e in enumerate(exps) for _ in range(e)]
-                t = factors[0] if factors else np.ones(Z.shape[:-1], dtype=complex)
-                for col in factors[1:]:
-                    t = t * col
-                monomials[exps] = t
-            return monomials[exps]
-
-        J = np.zeros((n, n) + Z.shape[:-1], dtype=complex)
+        J = np.zeros((self.nvars, self.nvars) + Z.shape[:-1], dtype=complex)
         for i, row in enumerate(self._partials):
             for j, partial in enumerate(row):
-                for exps, c in partial.terms:
-                    J[i, j] += monomial(exps) * c
+                _add_terms(partial, Z, J[i, j, ...])
         return np.moveaxis(J, (0, 1), (-2, -1))
-
-
-def identity_map() -> RationalMapRep:
-    return linear_map(np.eye(3))
-
-
-def linear_map(A: np.ndarray) -> RationalMapRep:
-    A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
-    comps = []
-    for i in range(n):
-        coeffs = {}
-        for j in range(n):
-            if A[i, j] != 0:
-                exps = tuple(1 if v == j else 0 for v in range(n))
-                coeffs[exps] = A[i, j]
-        comps.append(HomogeneousPolynomial.from_dict(1, coeffs))
-    return RationalMapRep(components=tuple(comps), degree=1)
 
 
 @dataclass(frozen=True)
@@ -419,9 +405,11 @@ def make_henon(a: complex, p_coeffs) -> BirationalPair:
     ``p_coeffs`` lists the coefficients of p from constant to leading.
     """
     a = complex(a)
-    if a == 0:
-        raise InvalidParam("Henon parameter a must be nonzero")
+    if a == 0 or not np.isfinite(a):
+        raise InvalidParam("Henon parameter a must be nonzero and finite")
     p_coeffs = [complex(c) for c in p_coeffs]
+    if not np.isfinite(p_coeffs).all():
+        raise InvalidParam("coefficients of p must be finite")
     deg = len(p_coeffs) - 1
     if deg < 2 or p_coeffs[-1] == 0:
         raise InvalidParam("p must have exact degree >= 2")
@@ -443,7 +431,7 @@ def make_henon(a: complex, p_coeffs) -> BirationalPair:
     f1_table[(1, 0, deg - 1)] = f1_table.get((1, 0, deg - 1), 0) - a
     f1 = HomogeneousPolynomial.from_dict(deg, f1_table)
     f2 = HomogeneousPolynomial.from_dict(deg, {(0, 0, deg): 1.0})
-    fwd = RationalMapRep(components=(f0, f1, f2), degree=deg)
+    fwd = RationalMapRep(components=(f0, f1, f2))
 
     # backward ((p(x) - y)/a, x), denominators cleared:
     # [P(X,Z) - Y Z^{deg-1} : a X Z^{deg-1} : a Z^deg]
@@ -452,7 +440,7 @@ def make_henon(a: complex, p_coeffs) -> BirationalPair:
     g0 = HomogeneousPolynomial.from_dict(deg, g0_table)
     g1 = HomogeneousPolynomial.from_dict(deg, {(1, 0, deg - 1): a})
     g2 = HomogeneousPolynomial.from_dict(deg, {(0, 0, deg): a})
-    bwd = RationalMapRep(components=(g0, g1, g2), degree=deg)
+    bwd = RationalMapRep(components=(g0, g1, g2))
 
     return BirationalPair(
         fwd=fwd,
@@ -473,6 +461,10 @@ def make_cremona_composed(A: np.ndarray) -> BirationalPair:
     # condition number needs only an inverse, and is NaN for a non-finite A
     if not np.linalg.cond(A, "fro") <= 1e12:
         raise InvalidParam("A is numerically singular or not finite")
+    # cA is the same map, so A is scaled by the power of two, exact on every entry,
+    # that brings its largest modulus into (0.5, 1]: EPS_IND bounds ||F|| absolutely
+    frac, exp = np.frexp(np.abs(A).max())
+    A = np.ldexp(np.ascontiguousarray(A).view(float), int(frac == 0.5) - exp).view(complex)
     A_inv = np.linalg.inv(A)
 
     # fwd components: quadratic forms (Ax)_i (Ax)_j expanded monomially
@@ -490,14 +482,7 @@ def make_cremona_composed(A: np.ndarray) -> BirationalPair:
                 table[key] = table.get(key, 0) + c
         return HomogeneousPolynomial.from_dict(2, table)
 
-    fwd = RationalMapRep(
-        components=(
-            product_form(A[1], A[2]),
-            product_form(A[0], A[2]),
-            product_form(A[0], A[1]),
-        ),
-        degree=2,
-    )
+    fwd = RationalMapRep(components=(product_form(A[1], A[2]), product_form(A[0], A[2]), product_form(A[0], A[1])))
 
     # bwd components: A_inv applied to (yz, xz, xy)
     j_monomials = [(0, 1, 1), (1, 0, 1), (1, 1, 0)]
@@ -508,7 +493,7 @@ def make_cremona_composed(A: np.ndarray) -> BirationalPair:
             if c != 0:
                 table[jm] = table.get(jm, 0) + c
         bwd_comps.append(HomogeneousPolynomial.from_dict(2, table))
-    bwd = RationalMapRep(components=tuple(bwd_comps), degree=2)
+    bwd = RationalMapRep(components=tuple(bwd_comps))
 
     return BirationalPair(
         fwd=fwd,

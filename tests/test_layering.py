@@ -55,6 +55,22 @@ def test_jacobians_are_evaluated_only_by_the_differential_step():
     assert _innermost(_calls("jacobian_rows")) == {("maps", "differential_rows")}
 
 
+def test_polynomials_are_evaluated_by_one_term_loop():
+    # F, each formal partial and each Jacobian entry go through _add_terms; partial
+    # loops over the terms to differentiate them, RationalMapRep.__post_init__ to
+    # check the length of each multi-index
+    def loops_over_terms(node):
+        loops = [node] if isinstance(node, (ast.For, ast.AsyncFor)) else getattr(node, "generators", [])
+        return any(isinstance(loop.iter, ast.Attribute) and loop.iter.attr == "terms" for loop in loops)
+
+    assert _innermost(loops_over_terms) == {("maps", "_add_terms"), ("maps", "partial"), ("maps", "__post_init__")}
+    assert {owner for module, owner in _innermost(_calls_name("_add_terms"))} == {
+        "__call__", "eval_rows", "jacobian_rows",
+    }
+    # a term starts from its coefficient, not from an array filled with it
+    assert "np.full" not in (SRC / "maps.py").read_text()
+
+
 def test_maps_has_no_matrix_product():
     # a BLAS product rounds a row by the length of its batch; the row kernels stay elementwise
     def product(node):
@@ -67,7 +83,8 @@ def test_maps_has_no_matrix_product():
 
 @pytest.mark.parametrize("name", ["eval_rows_checked", "FsForm", "ChartCoords", "RunManifest",
                                   "correlation", "correlation_two_sided", "min_set_distance",
-                                  "degree_sequence", "JACOBIAN_BLOCK", "_monomials", "_monomial_exponents"])
+                                  "degree_sequence", "JACOBIAN_BLOCK", "_monomials", "_monomial_exponents",
+                                  "monomial"])
 def test_removed_pass_through_names_stay_gone(name):
     defined = set()
     for path in sorted(SRC.glob("*.py")):
@@ -88,7 +105,6 @@ SIGNATURES = {
     "measure.approx_T_plus_wedge_omega": (measure.approx_T_plus_wedge_omega, ["pair", "m", "count", "seed"]),
     "potential.green_plus_henon": (potential.green_plus_henon, ["pair", "p_affine", "max_iter"]),
     "maps.roundtrip_residuals": (maps.roundtrip_residuals, ["pair", "count", "seed"]),
-    "maps.identity_map": (maps.identity_map, []),
     # the pair decides which proven rate applies, the series its depth
     "mixing.theoretical_rate": (mixing.theoretical_rate, ["pair", "alpha"]),
     "runner.compare_to_theory": (runner.compare_to_theory, ["summary", "pair", "alpha"]),
@@ -104,6 +120,8 @@ SIGNATURES = {
 FIELDS = {
     # a pair holds only what varies between pairs: no k, no s
     "BirationalPair": (maps.BirationalPair, ["fwd", "bwd", "ind_fwd", "ind_bwd", "regular", "meta"]),
+    # the degree is read from the components, and the partials are cached from them
+    "RationalMapRep": (maps.RationalMapRep, ["components"]),
     "IndeterminacyOrbit": (genericity.IndeterminacyOrbit, ["steps", "flagged_at"]),
     "CnSequence": (mixing.CnSequence, ["c", "partial_sums", "stderr", "dropped_fraction"]),
     "CorrelationSeries": (mixing.CorrelationSeries, ["entries"]),

@@ -21,9 +21,7 @@ from birlab.maps import (
     eval_point,
     for_each_slice,
     fs_pullback_form,
-    identity_map,
     iterate,
-    linear_map,
     make_cremona_composed,
     RationalMapRep,
     make_henon,
@@ -47,6 +45,23 @@ from birlab.projective import (
 )
 
 
+def linear_map(A) -> RationalMapRep:
+    """The map z -> A z of P^k."""
+    A = np.asarray(A, dtype=complex)
+    n = len(A)
+    unit = [tuple(int(v == j) for v in range(n)) for j in range(n)]
+    return RationalMapRep(
+        components=tuple(
+            HomogeneousPolynomial.from_dict(1, {unit[j]: A[i, j] for j in range(n) if A[i, j] != 0})
+            for i in range(n)
+        )
+    )
+
+
+def identity_map() -> RationalMapRep:
+    return linear_map(np.eye(3))
+
+
 @pytest.fixture(scope="module")
 def henon():
     return make_henon(0.3, [-1.2, 0.0, 1.0])
@@ -62,6 +77,27 @@ def test_homogeneous_polynomial_validates_degree():
         HomogeneousPolynomial.from_dict(2, {(1, 0, 0): 1.0})
     with pytest.raises(InvalidParam):
         HomogeneousPolynomial.from_dict(2, {(2, 0, 0): 0.0})
+
+
+@pytest.mark.parametrize("exps", [(3, -1, 0), (1.5, 0.5, 0)])
+def test_homogeneous_polynomial_rejects_exponents_that_are_not_natural(exps):
+    # each sums to the degree, so only the exponent check can reject it
+    with pytest.raises(InvalidParam):
+        HomogeneousPolynomial.from_dict(2, {exps: 1})
+
+
+@pytest.mark.parametrize("nexps", [2, 4])
+def test_rational_map_rejects_multi_indices_of_another_length(nexps):
+    comp = HomogeneousPolynomial.from_dict(2, {(2,) + (0,) * (nexps - 1): 1.0})
+    with pytest.raises(InvalidParam):
+        RationalMapRep(components=(comp,) * 3)
+
+
+def test_rational_map_rejects_no_components_and_mixed_degrees():
+    with pytest.raises(InvalidParam):
+        RationalMapRep(components=())
+    with pytest.raises(InvalidParam):
+        RationalMapRep(components=tuple(HomogeneousPolynomial.from_dict(d, {(d, 0, 0): 1.0}) for d in (1, 2, 2)))
 
 
 def test_homogeneous_polynomial_eval_and_partial():
@@ -220,6 +256,20 @@ def test_make_henon_rejects_bad_params():
         make_henon(0.3, [1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "a, p_coeffs",
+    [
+        (np.nan, [-1.2, 0.0, 1.0]),
+        (complex(0.3, np.inf), [-1.2, 0.0, 1.0]),
+        (0.3, [-1.2, 0.0, np.inf]),
+        (0.3, [np.nan, 0.0, 1.0]),
+    ],
+)
+def test_make_henon_rejects_non_finite_params(a, p_coeffs):
+    with pytest.raises(InvalidParam):
+        make_henon(a, p_coeffs)
+
+
 def test_make_henon_rejects_extra_arguments():
     with pytest.raises(TypeError):
         make_henon(0.3, [-1.2, 0.0, 1.0], 5)
@@ -261,17 +311,29 @@ def test_make_cremona_rejects_ill_conditioned_or_non_finite(A):
 @pytest.mark.parametrize("A", [np.eye(3), random_unitary(7)])
 @pytest.mark.parametrize("scale", [1e-5, 1e5])
 def test_make_cremona_accepts_any_scale_of_a_regular_matrix(A, scale):
-    # cA is the same projective map as A, so the singularity test is scale-free
+    # cA is the same projective map as A, so the singularity test is scale-free,
+    # and the checked step keeps every row alive at any scale
     pair, scaled = make_cremona_composed(A), make_cremona_composed(scale * A)
     Z = sample_fs_rows(200, 3)
     for direction in ("fwd", "bwd"):
-        # unchecked images: the scaled fwd map's ||F|| can fall below EPS_IND
-        W, W_scaled = (
-            F / np.linalg.norm(F, axis=-1, keepdims=True)
-            for F in (pair.map_for(direction).eval_rows(Z), scaled.map_for(direction).eval_rows(Z))
-        )
+        W, _, alive = step_rows(pair.map_for(direction), Z)
+        W_scaled, _, alive_scaled = step_rows(scaled.map_for(direction), Z)
+        assert alive.all() and alive_scaled.all()
         assert np.all(fs_distance_rows(W, W_scaled) <= 1e-12)
     assert np.all(fs_distance_rows(pair.ind_fwd, scaled.ind_fwd) <= 1e-12)
+
+
+def test_make_cremona_ignores_a_power_of_two_scale():
+    A = random_unitary(7)
+    pair, scaled = make_cremona_composed(A), make_cremona_composed(2.0**-40 * A)
+    assert scaled == pair
+    Z = sample_fs_rows(2000, 3)
+    for direction in ("fwd", "bwd"):
+        got, ref = (step_rows(p.map_for(direction), Z) for p in (scaled, pair))
+        for out, expect in zip(got, ref, strict=True):
+            np.testing.assert_array_equal(out, expect)
+    np.testing.assert_array_equal(scaled.ind_fwd, pair.ind_fwd)
+    np.testing.assert_array_equal(scaled.ind_bwd, pair.ind_bwd)
 
 
 def test_random_unitary_is_unitary():
@@ -583,9 +645,7 @@ def _random_maps(degree):
     table = st.dictionaries(st.sampled_from(exponents), COEFFS, min_size=1)
     tables = st.lists(table, min_size=3, max_size=3)
     return tables.map(
-        lambda ts: RationalMapRep(
-            components=tuple(HomogeneousPolynomial.from_dict(degree, t) for t in ts), degree=degree
-        )
+        lambda ts: RationalMapRep(components=tuple(HomogeneousPolynomial.from_dict(degree, t) for t in ts))
     )
 
 
@@ -599,12 +659,35 @@ def test_compiled_jacobian_matches_partials_and_euler(map_rep, seed):
     J = map_rep.jacobian_rows(Z)
     scale = max(abs(c) for comp in map_rep.components for _, c in comp.terms) * map_rep.degree**2
     assert J.shape == (16, 3, 3)
-    assert np.max(np.abs(J - _term_jacobian(map_rep, Z))) <= 1e-12 * scale
+    # one term loop evaluates the Jacobian and each formal partial alike
+    np.testing.assert_array_equal(J, _term_jacobian(map_rep, Z))
     # Euler's identity for homogeneous F of degree d: J z = d F(z)
     Jz = np.einsum("nij,nj->ni", J, Z)
     assert np.max(np.abs(Jz - map_rep.degree * map_rep.eval_rows(Z))) <= 1e-12 * scale
     # a one-row batch gives its row's matrix, bit for bit
     np.testing.assert_array_equal(map_rep.jacobian_rows(Z[3:4]), J[3:4])
+
+
+ROW_KERNEL_PAIRS = {
+    **FOUR_PAIRS,
+    "complex_henon": lambda: make_henon(0.3 + 0.2j, [0.1j, 0.5 - 0.25j, 1.0 + 0.5j]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_KERNEL_PAIRS))
+@pytest.mark.parametrize("direction", ["fwd", "bwd"])
+def test_row_kernels_are_the_one_term_loop(name, direction):
+    map_rep = ROW_KERNEL_PAIRS[name]().map_for(direction)
+    points = sample_fs(300, 6)
+    Z = np.array([p.coords for p in points])
+    # F and J are the one term loop applied to each component and each formal partial
+    stacked = np.stack([comp(Z) for comp in map_rep.components], axis=-1)
+    np.testing.assert_array_equal(map_rep.eval_rows(Z), stacked)
+    np.testing.assert_array_equal(map_rep.jacobian_rows(Z), _term_jacobian(map_rep, Z))
+    # and so are they on the 1-D row that eval_point evaluates
+    for p in points:
+        np.testing.assert_array_equal(map_rep.eval_rows(p.coords), [comp(p.coords) for comp in map_rep.components])
+        np.testing.assert_array_equal(map_rep.jacobian_rows(p.coords), _term_jacobian(map_rep, p.coords))
 
 
 def _random_pairs():

@@ -50,7 +50,8 @@ def test_smoothstep_plateaus_and_midpoint():
 def test_u1_unitary_isometry_is_zero():
     # degree-1 isometries have ||F(z)|| = ||z||, so the increment vanishes;
     # checked through the generic row evaluator on a rotation-composed pair
-    from birlab.maps import linear_map, random_unitary
+    from birlab.maps import random_unitary
+    from test_maps import linear_map
 
     U = random_unitary(13)
     rep = linear_map(U)
