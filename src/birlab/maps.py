@@ -278,11 +278,12 @@ def step_rows(map_rep: RationalMapRep, Z: np.ndarray):
 
 
 def eval_point(map_rep: RationalMapRep, p: ProjPoint) -> ProjPoint:
-    """Image of p, or IndeterminacyProximity if numerically on I(f)."""
-    W, _, alive = step_rows(map_rep, p.coords)
-    if not alive:
+    """Image of p, or IndeterminacyProximity if numerically on I(f): a one-row
+    call of ``step_rows``, so the image has the bits of p's row in any batch."""
+    W, _, alive = step_rows(map_rep, p.coords[None, :])
+    if not alive[0]:
         raise IndeterminacyProximity(f"point {p} is numerically indeterminate", step=0)
-    return ProjPoint(fix_phase_rows(W))
+    return ProjPoint(fix_phase_rows(W)[0])
 
 
 def iterate(pair: BirationalPair, p: ProjPoint, n: int, direction: str = "fwd") -> list:

@@ -1,16 +1,17 @@
 """Catalog of scalar test functions on P^2.
 
 Each observable is a bounded function of the canonical unit homogeneous
-representative, carries a smoothness tag, and a grid-estimated norm.  Norm
-estimates scale reported constants only; they never enter fitted rates;
-the smoothness tag sets the exponent alpha of the proven rate.  The norm
-grid is walked in the 8192-row slices of ``maps.for_each_slice``, one per
-CPU at a time, and every estimate is the same to the bit for any CPU count.
+representative, with the alpha of its C^alpha regularity, which its builder
+states, and a norm, exact where the builder knows it and grid-estimated
+otherwise.  Norms scale reported constants only and never enter fitted
+rates; alpha sets the exponent of the proven rate.  The norm grid is walked
+in the 8192-row slices of ``maps.for_each_slice``, one per CPU at a time,
+and every estimate is the same to the bit for any CPU count.
 """
 
 from __future__ import annotations
 
-import inspect
+import cmath
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, get_type_hints
@@ -31,9 +32,14 @@ class Observable:
     """A named test function; ``fn`` maps unit rows ``(..., 3)`` to values ``(...)``."""
 
     name: str
-    smoothness: str  # "C1", "C2", or "Holder(alpha)"
+    alpha: float  # C^alpha regularity, 0 < alpha <= 2
     norm_estimate: float
     fn: Callable = field(compare=False)
+
+    @property
+    def smoothness(self) -> str:
+        """The label the data files print: "C2" or "Holder(alpha)"."""
+        return "C2" if self.alpha == 2.0 else f"Holder({self.alpha})"
 
 
 def _bump_profile(r2: np.ndarray) -> np.ndarray:
@@ -62,7 +68,7 @@ def _make_affine_bump(cx: complex = 0j, cy: complex = 0j, radius: float = 2.0, c
             r2 = np.where(den > 0, num / np.where(den > 0, den, 1.0), np.inf)
         return _bump_profile(r2)
 
-    return fn
+    return fn, 2.0, None
 
 
 def _make_fs_coordinate(index: int = 0):
@@ -72,7 +78,7 @@ def _make_fs_coordinate(index: int = 0):
     def fn(Z):
         return np.abs(Z[..., index]) ** 2
 
-    return fn
+    return fn, 2.0, None
 
 
 def _make_holder_crease(alpha: float = 0.5, index: int = 0, level: float = 0.4):
@@ -84,28 +90,20 @@ def _make_holder_crease(alpha: float = 0.5, index: int = 0, level: float = 0.4):
     def fn(Z):
         return np.abs(np.abs(Z[..., index]) ** 2 - level) ** alpha
 
-    return fn
+    return fn, alpha, None
 
 
 def _make_constant(value: float = 1.0):
     def fn(Z):
         return np.full(Z.shape[:-1], value)
 
-    return fn
+    return fn, 2.0, abs(value)
 
 
-def smoothness_alpha(smoothness: str) -> float:
-    """Regularity exponent of a smoothness tag: C1 -> 1, C2 -> 2, Holder(a) -> a."""
-    if smoothness.startswith("Holder(") and smoothness.endswith(")"):
-        return float(smoothness[len("Holder(") : -1])
-    if smoothness in ("C1", "C2"):
-        return float(smoothness[1])
-    raise InvalidParam(f"unknown smoothness tag {smoothness!r}")
-
-
-def estimate_norm(fn, smoothness: str) -> float:
-    """Grid estimate of the C^1/C^2/Holder norm by finite differences,
-    on a seeded disc of chart NORM_CHART.
+def estimate_norm(fn, alpha: float) -> float:
+    """Grid estimate of the C^alpha norm by finite differences, on a seeded
+    disc of chart NORM_CHART: the Holder norm for alpha <= 1, the C^2 norm
+    otherwise.
 
     The grid is walked in the slices of ``for_each_slice``, one per CPU at
     a time; each difference keeps its maximum per slice, and the maximum of
@@ -120,7 +118,7 @@ def estimate_norm(fn, smoothness: str) -> float:
         np.array([0.0, 1.0]),
         np.array([0.0, 1j]),
     ]
-    holder = smoothness.startswith("Holder")
+    holder = alpha <= 1
     holder_steps = [2.0**-scale for scale in range(4, 11)]
     h1, h2 = 1e-3, 1e-2
 
@@ -138,9 +136,8 @@ def estimate_norm(fn, smoothness: str) -> float:
             return
         for e in directions:
             yield np.max(np.abs(at(grid + h1 * e) - at(grid - h1 * e)))
-        if smoothness == "C2":
-            for e in directions:
-                yield np.max(np.abs(at(grid + h2 * e) - 2 * base + at(grid - h2 * e)))
+        for e in directions:
+            yield np.max(np.abs(at(grid + h2 * e) - 2 * base + at(grid - h2 * e)))
 
     peaks = np.max(for_each_slice(lambda rows: list(slice_peaks(aff[rows])), len(aff)), axis=0)
     sup, *diffs = (float(peak) for peak in peaks)
@@ -148,7 +145,6 @@ def estimate_norm(fn, smoothness: str) -> float:
         raise InvalidParam("it is 0 at every point of the norm grid, so its norm would read 0")
     # each maximum of a group starts at 0.0, and a NaN difference is skipped
     if holder:
-        alpha = smoothness_alpha(smoothness)
         steps = [h for h in holder_steps for _ in directions]
         return sup + max([0.0] + [diff / h**alpha for h, diff in zip(steps, diffs)])
     grad = max([0.0] + [diff / (2 * h1) for diff in diffs[: len(directions)]])
@@ -159,13 +155,12 @@ def estimate_norm(fn, smoothness: str) -> float:
 # the values each parameter type that a builder annotates accepts
 _ACCEPTS = {int: numbers.Integral, float: numbers.Real, complex: numbers.Complex}
 
-# each builder with its smoothness tag and, where it is known exactly, its
-# norm; the tag is formatted with, and the norm called on, the builder's arguments
+# each builder returns its function, its alpha, and its norm where it knows it exactly
 _BUILDERS = {
-    "constant": (_make_constant, "C2", lambda value: abs(value)),
-    "affine-bump": (_make_affine_bump, "C2", None),
-    "fs-coordinate": (_make_fs_coordinate, "C2", None),
-    "holder-crease": (_make_holder_crease, "Holder({alpha})", None),
+    "constant": _make_constant,
+    "affine-bump": _make_affine_bump,
+    "fs-coordinate": _make_fs_coordinate,
+    "holder-crease": _make_holder_crease,
 }
 
 
@@ -173,12 +168,12 @@ def observable_catalog(name: str, params: dict = None) -> Observable:
     """Built-in observables: constant, affine-bump, fs-coordinate, holder-crease.
 
     ``params`` may name only the keyword parameters of the observable's
-    builder, each with a number of the type that parameter is annotated with.
+    builder, each with a finite number of the type that parameter is annotated with.
     """
     params = params or {}
     if name not in _BUILDERS:
         raise InvalidParam(f"unknown observable {name!r}")
-    builder, tag, exact_norm = _BUILDERS[name]
+    builder = _BUILDERS[name]
     kinds = get_type_hints(builder)
     unknown = sorted(set(params) - set(kinds))
     if unknown:
@@ -187,13 +182,12 @@ def observable_catalog(name: str, params: dict = None) -> Observable:
     for key, value in params.items():
         if isinstance(value, bool) or not isinstance(value, _ACCEPTS[kinds[key]]):
             raise InvalidParam(f"{name} parameter {key} must be a {kinds[key].__name__}, not {value!r}")
+        if not isinstance(value, numbers.Integral) and not cmath.isfinite(value):
+            raise InvalidParam(f"{name} parameter {key} must be finite, not {value!r}")
         values[key] = kinds[key](value)
-    fn = builder(**values)
-    args = inspect.signature(builder).bind(**values)
-    args.apply_defaults()
-    smoothness = tag.format(**args.arguments)
+    fn, alpha, norm = builder(**values)
     try:
-        norm = exact_norm(**args.arguments) if exact_norm else estimate_norm(fn, smoothness)
+        norm = estimate_norm(fn, alpha) if norm is None else norm
     except InvalidParam as exc:
         raise InvalidParam(f"observable {name} {params}: {exc}") from exc
-    return Observable(name=name, smoothness=smoothness, norm_estimate=norm, fn=fn)
+    return Observable(name=name, alpha=alpha, norm_estimate=norm, fn=fn)

@@ -30,7 +30,7 @@ from .mixing import (
     decay_fit,
     theoretical_rate,
 )
-from .observables import observable_catalog, smoothness_alpha
+from .observables import observable_catalog
 from .potential import (
     QuasiPotentialSeries,
     chi_A_rows,
@@ -136,7 +136,7 @@ def _fit_and_verdict(cfg, pair, series, observables):
         fit = decay_fit(series, seed=cfg.seed)
     except InsufficientSignal as exc:  # a reportable outcome, not a failure
         return None, {"error": type(exc).__name__}
-    alpha = min(smoothness_alpha(o.smoothness) for o in observables)
+    alpha = min(o.alpha for o in observables)
     return asdict(fit), compare_to_theory(fit, pair, alpha)
 
 
@@ -289,7 +289,7 @@ class ObservableConfig(BaseModel):
 
 
 class ExperimentConfig(BaseModel):
-    model_config = ConfigDict(extra="forbid")
+    model_config = ConfigDict(extra="forbid", allow_inf_nan=False)
     map: MapConfig
     experiment: ExperimentName
     seed: int = Field(ge=0)
@@ -314,15 +314,23 @@ class ExperimentConfig(BaseModel):
         return self
 
 
+def _finite_float(token: str) -> float:
+    """A JSON number as a float; NaN, Infinity and overflowing literals are invalid."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token} is not a finite number")
+    return value
+
+
 def load_config(data) -> ExperimentConfig:
     """Validate a config dict, or the path (``str`` or ``Path``) of a JSON
     config file, into an ExperimentConfig.  A string is always read as a
-    path, never parsed as JSON text."""
+    path, never parsed as JSON text; every number in the file must be finite."""
     if isinstance(data, (str, Path)):
         path = Path(data)
         try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            data = json.loads(path.read_text(), parse_float=_finite_float, parse_constant=_finite_float)
+        except (OSError, ValueError) as exc:
             raise ConfigInvalid(f"{path}: {exc}") from exc
     try:
         return ExperimentConfig.model_validate(data)

@@ -118,6 +118,13 @@ def test_cli_exit_2_on_bad_config(tmp_path):
     assert main(["genericity", "--config", cfg]) == 2
 
 
+def test_cli_exit_2_on_a_config_file_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    assert main(["genericity", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {cfg}: 'utf-8' codec can't decode")
+
+
 def test_cli_exit_3_on_experiment_failure(tmp_path):
     # the escape-rate computation is Henon-only; running it on the other
     # family is a well-formed config that fails downstream
@@ -374,6 +381,8 @@ def test_removed_config_fields_are_rejected(tmp_path, config, field, value):
         ("green_henon", "cutoff_A", 0.0),
         ("green_henon", "grid_range", 0.0),
         ("green_henon", "grid_range", -2.0),
+        ("green_henon", "grid_range", math.inf),
+        ("green_henon", "cutoff_A", math.inf),
     ],
 )
 def test_out_of_range_config_values_are_rejected(tmp_path, config, field, value):
@@ -383,6 +392,24 @@ def test_out_of_range_config_values_are_rejected(tmp_path, config, field, value)
         load_config(payload)
     cfg = _write_config(tmp_path / "cfg.json", {**payload, "output_dir": str(tmp_path / "out")})
     assert main([payload["experiment"], "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN", "1e400"])
+@pytest.mark.parametrize(
+    "config, change",
+    [
+        ("green_henon", {"grid_range": "TOKEN"}),
+        ("cn_henon", {"observables": [{"name": "holder-crease", "params": {"level": "TOKEN"}}]}),
+    ],
+)
+def test_non_finite_numbers_in_a_config_file_are_config_errors(tmp_path, capsys, token, config, change):
+    # Python's json reads these as floats; a config holds only finite numbers
+    payload = {**json.loads((CONFIGS / f"{config}.json").read_text()), **change, "output_dir": str(tmp_path / "out")}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload).replace('"TOKEN"', token))
+    assert main([payload["experiment"], "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}: {token} is not a finite number\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

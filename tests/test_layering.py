@@ -84,7 +84,7 @@ def test_maps_has_no_matrix_product():
 @pytest.mark.parametrize("name", ["eval_rows_checked", "FsForm", "ChartCoords", "RunManifest",
                                   "correlation", "correlation_two_sided", "min_set_distance",
                                   "degree_sequence", "JACOBIAN_BLOCK", "_monomials", "_monomial_exponents",
-                                  "monomial"])
+                                  "monomial", "smoothness_alpha"])
 def test_removed_pass_through_names_stay_gone(name):
     defined = set()
     for path in sorted(SRC.glob("*.py")):
@@ -125,7 +125,8 @@ FIELDS = {
     "IndeterminacyOrbit": (genericity.IndeterminacyOrbit, ["steps", "flagged_at"]),
     "CnSequence": (mixing.CnSequence, ["c", "partial_sums", "stderr", "dropped_fraction"]),
     "CorrelationSeries": (mixing.CorrelationSeries, ["entries"]),
-    "Observable": (observables.Observable, ["name", "smoothness", "norm_estimate", "fn"]),
+    # each builder states its alpha; the smoothness label is a property of it
+    "Observable": (observables.Observable, ["name", "alpha", "norm_estimate", "fn"]),
 }
 
 
@@ -143,6 +144,15 @@ def test_removed_fields_stay_gone(name):
 
 def test_observables_are_called_through_fn_only():
     assert "__call__" not in vars(observables.Observable)
+
+
+def test_the_smoothness_label_is_made_once_and_never_read_back():
+    # no tag is formatted from a builder's bound arguments, and no code parses one
+    assert {owner for module, owner in _innermost(_mentions({"inspect"})) if module == "observables"} == set()
+    holder = _innermost(lambda node: isinstance(node, ast.Constant) and "Holder(" in str(node.value))
+    assert holder == {("observables", "smoothness")}
+    reads = _innermost(lambda node: isinstance(node, ast.Attribute) and node.attr == "smoothness")
+    assert reads == {("runner", "_observable_summary")}
 
 
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)

@@ -36,6 +36,7 @@ from birlab.maps import (
 )
 from birlab.projective import (
     ProjPoint,
+    fix_phase_rows,
     fs_distance,
     fs_distance_rows,
     normalize,
@@ -610,6 +611,22 @@ def test_scalar_pullback_is_one_row_of_the_chain(name, direction):
         assert pullback_density(map_rep, p) == np.real(np.trace(H_p)) / 2
 
 
+@pytest.mark.parametrize("name", sorted(FOUR_PAIRS))
+@pytest.mark.parametrize("direction", ["fwd", "bwd"])
+def test_scalar_orbit_is_one_row_of_the_batch_steps(name, direction):
+    # on the cubic map a 1-D row rounds Y·Z² and X·Z² unlike a row of a batch,
+    # so eval_point steps a one-row batch
+    pair = FOUR_PAIRS[name]()
+    map_rep = pair.map_for(direction)
+    points = sample_fs(300, 6)
+    W1 = fix_phase_rows(step_rows(map_rep, np.array([p.coords for p in points]))[0])
+    W2 = fix_phase_rows(step_rows(map_rep, W1)[0])
+    for p, w1, w2 in zip(points, W1, W2, strict=True):
+        assert np.array_equal(eval_point(map_rep, p).coords, w1)
+        _, q1, q2 = iterate(pair, p, 2, direction)
+        assert np.array_equal(q1.coords, w1) and np.array_equal(q2.coords, w2)
+
+
 @pytest.mark.parametrize("name", sorted(CHAIN_PAIRS))
 def test_step_rows_live_dead_and_layout(name):
     pair = CHAIN_PAIRS[name]()
@@ -684,7 +701,7 @@ def test_row_kernels_are_the_one_term_loop(name, direction):
     stacked = np.stack([comp(Z) for comp in map_rep.components], axis=-1)
     np.testing.assert_array_equal(map_rep.eval_rows(Z), stacked)
     np.testing.assert_array_equal(map_rep.jacobian_rows(Z), _term_jacobian(map_rep, Z))
-    # and so are they on the 1-D row that eval_point evaluates
+    # and so are they on a 1-D row
     for p in points:
         np.testing.assert_array_equal(map_rep.eval_rows(p.coords), [comp(p.coords) for comp in map_rep.components])
         np.testing.assert_array_equal(map_rep.jacobian_rows(p.coords), _term_jacobian(map_rep, p.coords))

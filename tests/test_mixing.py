@@ -51,7 +51,7 @@ def nu_small(henon):
 def _combine(a, phi1, b, phi2):
     return Observable(
         name="combo",
-        smoothness="C2",
+        alpha=2.0,
         norm_estimate=abs(a) * phi1.norm_estimate + abs(b) * phi2.norm_estimate,
         fn=lambda Z: a * phi1.fn(Z) + b * phi2.fn(Z),
     )

@@ -11,9 +11,9 @@ from birlab.observables import (
     NORM_CHART,
     NORM_GRID_RADIUS,
     NORM_GRID_SIDE,
+    Observable,
     estimate_norm,
     observable_catalog,
-    smoothness_alpha,
 )
 from birlab.projective import canonicalize_rows, chart_disc, from_chart_rows, sample_fs_rows
 
@@ -27,10 +27,11 @@ def test_constant_observable():
 
 
 def test_catalog_reads_the_builders_defaults(monkeypatch):
-    # the holder-crease tag sets the proven rate, so it must follow the builder's alpha
+    # the holder-crease alpha sets the proven rate, so it must follow the builder's default
     monkeypatch.setattr(observables._make_holder_crease, "__defaults__", (0.25, 0, 0.4))
     monkeypatch.setattr(observables._make_constant, "__defaults__", (-3.0,))
     assert observable_catalog("holder-crease").smoothness == "Holder(0.25)"
+    assert observable_catalog("holder-crease").alpha == 0.25
     const = observable_catalog("constant")
     assert const.norm_estimate == 3.0
     assert np.all(const.fn(sample_fs_rows(10, 1)) == -3.0)
@@ -75,7 +76,7 @@ def test_fs_coordinate_rejects_bad_index():
 
 def test_holder_crease_tag_and_quotient():
     obs = observable_catalog("holder-crease", {"alpha": 0.5, "index": 0, "level": 0.4})
-    assert obs.smoothness == "Holder(0.5)"
+    assert obs.smoothness == "Holder(0.5)" and obs.alpha == 0.5
     # finite-difference alpha-quotient stays bounded over dyadic scales
     assert np.isfinite(obs.norm_estimate)
     assert obs.norm_estimate < 50.0
@@ -116,6 +117,11 @@ def test_unknown_observable_parameter(name, params):
         ("holder-crease", {"alpha": 0.5j}),
         ("holder-crease", {"index": -1}),
         ("constant", {"value": None}),
+        ("holder-crease", {"level": float("nan")}),
+        ("constant", {"value": float("inf")}),
+        ("affine-bump", {"radius": float("inf")}),
+        ("affine-bump", {"cy": complex(0.0, float("-inf"))}),
+        ("holder-crease", {"alpha": np.float64("nan")}),
     ],
 )
 def test_wrong_typed_or_out_of_range_parameter(name, params):
@@ -141,13 +147,39 @@ def test_norm_estimate_at_least_sup():
         assert obs.norm_estimate >= np.max(np.abs(obs.fn(Z))) - 1e-9
 
 
-def test_smoothness_alpha():
-    assert smoothness_alpha("C1") == 1.0
-    assert smoothness_alpha("C2") == 2.0
-    assert smoothness_alpha("Holder(0.25)") == 0.25
-    for tag in ("C3", "Holder"):
-        with pytest.raises(InvalidParam):
-            smoothness_alpha(tag)
+def test_smoothness_is_the_label_of_alpha():
+    labels = {2.0: "C2", 1.0: "Holder(1.0)", 0.25: "Holder(0.25)"}
+    for alpha, label in labels.items():
+        assert Observable(name="x", alpha=alpha, norm_estimate=1.0, fn=None).smoothness == label
+    # the label is read from alpha, never set
+    with pytest.raises(TypeError):
+        Observable(name="x", alpha=2.0, smoothness="C2", norm_estimate=1.0, fn=None)
+
+
+@pytest.mark.parametrize("name", sorted(observables._BUILDERS))
+def test_each_builder_states_its_alpha_and_any_exact_norm(name):
+    fn, alpha, norm = observables._BUILDERS[name]()
+    assert callable(fn)
+    assert type(alpha) is float and 0 < alpha <= 2
+    assert norm is None or type(norm) is float
+
+
+# the recorded norm and label of each builder at its defaults and at the parameters the configs and perfbench use
+RECORDED = [
+    ("constant", {}, "C2", "0x1.0000000000000p+0"),
+    ("affine-bump", {}, "C2", "0x1.d245337470c3dp+2"),
+    ("affine-bump", {"chart": 0, "radius": 2.0}, "C2", "0x1.a7d8e2bd2469ep+5"),
+    ("fs-coordinate", {}, "C2", "0x1.afa03948394e0p+1"),
+    ("holder-crease", {}, "Holder(0.5)", "0x1.560245aa57f54p+0"),
+    ("holder-crease", {"alpha": 0.25}, "Holder(0.25)", "0x1.98373a991b9d6p+0"),
+    ("holder-crease", {"alpha": 1}, "Holder(1.0)", "0x1.0b670edc509a4p+0"),
+]
+
+
+@pytest.mark.parametrize("name, params, smoothness, norm", RECORDED)
+def test_norms_and_labels_are_the_recorded_ones(name, params, smoothness, norm):
+    obs = observable_catalog(name, params)
+    assert (obs.smoothness, obs.norm_estimate.hex()) == (smoothness, norm)
 
 
 def test_a_bump_the_norm_grid_misses_is_rejected_by_name():
@@ -160,7 +192,7 @@ def _norm_grid():
     return chart_disc([0x0B5, NORM_CHART], NORM_GRID_SIDE * NORM_GRID_SIDE, NORM_GRID_RADIUS)
 
 
-def _estimate_norm_full_grid(fn, smoothness):
+def _estimate_norm_full_grid(fn, alpha):
     """Reference: every difference evaluated on the whole grid at once."""
     aff = _norm_grid()
     base = fn(from_chart_rows(aff, NORM_CHART))
@@ -171,8 +203,7 @@ def _estimate_norm_full_grid(fn, smoothness):
         np.array([0.0, 1.0]),
         np.array([0.0, 1j]),
     ]
-    if smoothness.startswith("Holder"):
-        alpha = smoothness_alpha(smoothness)
+    if alpha <= 1:
         quotient = 0.0
         for scale in range(4, 11):
             h = 2.0**-scale
@@ -186,16 +217,13 @@ def _estimate_norm_full_grid(fn, smoothness):
         plus = fn(from_chart_rows(aff + h1 * e, NORM_CHART))
         minus = fn(from_chart_rows(aff - h1 * e, NORM_CHART))
         grad = max(grad, float(np.max(np.abs(plus - minus))) / (2 * h1))
-    total = sup + grad
-    if smoothness == "C2":
-        h2 = 1e-2
-        hess = 0.0
-        for e in directions:
-            plus = fn(from_chart_rows(aff + h2 * e, NORM_CHART))
-            minus = fn(from_chart_rows(aff - h2 * e, NORM_CHART))
-            hess = max(hess, float(np.max(np.abs(plus - 2 * base + minus))) / h2**2)
-        total += hess
-    return total
+    h2 = 1e-2
+    hess = 0.0
+    for e in directions:
+        plus = fn(from_chart_rows(aff + h2 * e, NORM_CHART))
+        minus = fn(from_chart_rows(aff - h2 * e, NORM_CHART))
+        hess = max(hess, float(np.max(np.abs(plus - 2 * base + minus))) / h2**2)
+    return sup + grad + hess
 
 
 _coordinate = st.complex_numbers(max_magnitude=2.5, allow_nan=False, allow_infinity=False)
@@ -216,12 +244,10 @@ _estimated = st.one_of(
 @given(_estimated)
 def test_sliced_norm_grid_equals_the_full_grid(observable):
     name, params = observable
-    builder, tag, _ = observables._BUILDERS[name]
-    fn = builder(**params)
-    smoothness = tag.format(**params)
-    want = _estimate_norm_full_grid(fn, smoothness)
+    fn, alpha, _ = observables._BUILDERS[name](**params)
+    want = _estimate_norm_full_grid(fn, alpha)
     try:
-        assert estimate_norm(fn, smoothness) == want
+        assert estimate_norm(fn, alpha) == want
     except InvalidParam:
         assert np.max(np.abs(fn(from_chart_rows(_norm_grid(), NORM_CHART)))) == 0.0
 
@@ -236,10 +262,10 @@ def test_norm_estimates_do_not_depend_on_the_cpu_count(monkeypatch, name):
 
 
 def test_one_norm_estimate_keeps_one_slice_of_the_grid():
-    fn = observables._make_affine_bump()
+    fn, alpha, _ = observables._make_affine_bump()
     tracemalloc.start()
     try:
-        estimate_norm(fn, "C2")
+        estimate_norm(fn, alpha)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
