@@ -33,7 +33,6 @@ from .maps import (
     make_henon,
     pullback_density,
     random_unitary,
-    wedge_density,
 )
 from .measure import (
     WeightedCloud,

@@ -34,13 +34,14 @@ nearly radial, and the expanded ``Y - w (w^dag Y)`` would leave only
 rounding in X.  All form densities are ratios against omega^2 and
 therefore independent of the overall metric normalization.
 
-Every loop over a batch of independent rows (the pullback chain here, the
-mixing estimators' orbits and the norm grid of ``observables``) runs
-through ``for_each_slice``: the fixed ``CHAIN_CHUNK``-row slices of
-``row_slices`` are taken in turn by the calling thread and one helper
-thread per further CPU, with no setting.  Each slice writes only its own
-rows, so outputs are bit-identical for any CPU count, and memory is the
-outputs plus one slice's working set per CPU.
+Every loop over independent tasks runs through ``for_each``: the tasks are
+taken in turn by the calling thread and one helper thread per further
+CPU, with no setting.  A batch of independent rows (the pullback chain
+here, the mixing estimators' orbits and the norm grid of ``observables``)
+is walked by ``for_each_slice`` in the fixed ``CHAIN_CHUNK``-row slices of
+``row_slices``; the mixing estimators' bootstrap cells are tasks too.  Each
+task writes only its own outputs, so outputs are bit-identical for any CPU
+count, and memory is the outputs plus one task's working set per CPU.
 """
 
 from __future__ import annotations
@@ -52,15 +53,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndeterminacyProximity, InvalidParam
+from .errors import IndeterminacyProximity, InvalidParam
 from .projective import ProjPoint, canonicalize_rows, cross_rows, fix_phase_rows, tangent_frames
 
 EPS_IND = 1e-10
 # Rows per slice of ``pullback_chain``, of the mixing estimators' orbits and of the norm grid
 CHAIN_CHUNK = 8192
-# CPUs this process may run on: ``for_each_slice`` walks slices on this many threads
+# CPUs this process may run on: ``for_each`` runs tasks on this many threads
 _CPUS = len(os.sched_getaffinity(0))
-# helper-thread pools of ``for_each_slice`` by size, each built on first use
+# helper-thread pools of ``for_each`` by size, each built on first use
 _POOLS = {}
 
 
@@ -217,47 +218,52 @@ def row_slices(count: int) -> list:
     return [slice(start, min(start + CHAIN_CHUNK, count)) for start in range(0, count, CHAIN_CHUNK)]
 
 
-def for_each_slice(fn, count: int) -> list:
-    """``[fn(rows) for rows in row_slices(count)]``, with the slices walked
-    by the calling thread and one helper thread per further CPU.
+def for_each(fn, tasks) -> list:
+    """``[fn(task) for task in tasks]``, with the tasks taken in turn by the
+    calling thread and one helper thread per further CPU.
 
-    ``fn`` must touch only its own rows of any shared output, so every
-    result is the same for any CPU count; with one CPU, or one slice, this
-    is the plain loop.  The caller drains the slices too, then cancels each
-    helper task that has not started: a call from inside ``fn`` therefore
-    never waits on a task queued behind its own.  An exception raised in
-    any slice re-raises here, and no helper is still running ``fn`` when
-    this returns or raises.
+    ``fn`` must touch only its own part of any shared output, so every
+    result is the same for any CPU count; with one CPU, or one task, this
+    is the plain loop.  The caller drains the tasks too, then cancels each
+    helper that has not started: a call from inside ``fn`` therefore never
+    waits on a helper queued behind its own.  An exception raised in any
+    task re-raises here, and no helper is still running ``fn`` when this
+    returns or raises.
     """
-    slices = row_slices(count)
-    helpers = min(_CPUS, len(slices)) - 1
+    tasks = list(tasks)
+    helpers = min(_CPUS, len(tasks)) - 1
     if helpers <= 0:
-        return [fn(rows) for rows in slices]
+        return [fn(task) for task in tasks]
     if helpers not in _POOLS:
-        _POOLS[helpers] = futures.ThreadPoolExecutor(helpers, thread_name_prefix="birlab-slices")
-    results = [None] * len(slices)
+        _POOLS[helpers] = futures.ThreadPoolExecutor(helpers, thread_name_prefix="birlab-tasks")
+    results = [None] * len(tasks)
     # next() on a built-in iterator is one call under the interpreter lock,
-    # so each slice is handed to exactly one thread
-    todo = iter(enumerate(slices))
+    # so each task is handed to exactly one thread
+    todo = iter(enumerate(tasks))
 
     def drain():
         try:
-            for i, rows in todo:
-                results[i] = fn(rows)
+            for i, task in todo:
+                results[i] = fn(task)
         except BaseException:
-            for _ in todo:  # hand out no further slice
+            for _ in todo:  # hand out no further task
                 pass
             raise
 
-    tasks = [_POOLS[helpers].submit(drain) for _ in range(helpers)]
+    drains = [_POOLS[helpers].submit(drain) for _ in range(helpers)]
     try:
         drain()
     finally:
-        started = [task for task in tasks if not task.cancel()]
+        started = [d for d in drains if not d.cancel()]
         futures.wait(started)
-    for task in started:
-        task.result()
+    for d in started:
+        d.result()
     return results
+
+
+def for_each_slice(fn, count: int) -> list:
+    """``[fn(rows) for rows in row_slices(count)]``, through ``for_each``."""
+    return for_each(fn, row_slices(count))
 
 
 def step_rows(map_rep: RationalMapRep, Z: np.ndarray):
@@ -393,13 +399,6 @@ def wedge_density_rows(Ha: np.ndarray, Hb: np.ndarray) -> np.ndarray:
     return np.real(val)
 
 
-def wedge_density(A: np.ndarray, B: np.ndarray) -> float:
-    """Wedge density of two 2x2 (1,1)-forms written in one frame at one point."""
-    if np.shape(A) != (2, 2) or np.shape(B) != (2, 2):
-        raise DimensionMismatch("wedge density defined for k = 2 only")
-    return float(wedge_density_rows(A, B))
-
-
 def make_henon(a: complex, p_coeffs) -> BirationalPair:
     """Henon pair (x, y) -> (y, p(y) - a x) with deg p >= 2.
 
@@ -513,17 +512,3 @@ def random_unitary(seed: int, n: int = 3) -> np.ndarray:
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     Q, R = np.linalg.qr(G)
     return Q * (np.diag(R) / np.abs(np.diag(R)))
-
-
-def roundtrip_residuals(pair: BirationalPair, count: int, seed: int) -> np.ndarray:
-    """FS distances ||bwd(fwd(z)) - z|| on random points at least 1e-3 away from I(f)."""
-    from .projective import fs_distance_rows, sample_fs_rows
-
-    Z = sample_fs_rows(count, seed)
-    Z = Z[fs_distance_rows(Z[:, None], pair.ind_fwd).min(axis=1) >= 1e-3]
-    W, _, alive1 = step_rows(pair.fwd, Z)
-    B, _, alive2 = step_rows(pair.bwd, W)
-    B = canonicalize_rows(B)
-    Zc = canonicalize_rows(Z)
-    res = fs_distance_rows(B, Zc)
-    return res[alive1 & alive2]

@@ -17,9 +17,16 @@ alive mask at each lag, not the orbit states.  One walk, ``_orbit_values``,
 steps the cloud's rows in the fixed slices of ``maps.row_slices``, one per
 CPU at a time (``maps.for_each_slice``), and evaluates the observable on
 each state once, so an estimator's memory is about 9 B per row per lag (a
-float and a mask byte) plus one slice's states per CPU.  Each slice writes
-only its own rows and the bootstrap reads whole lags, so neither the
-slices nor the CPU count change any value.
+float and a mask byte) plus one slice's states per CPU.
+
+The bootstrap cells, one per lag of ``c_sequence`` and one per (n, m) of
+``_cov_grid``, then run as tasks of ``maps.for_each``, one per CPU at a
+time.  A cell reduces each weighted column to its block sums as soon as it
+is made, so it holds at most three columns of its rows (24 B per row) at
+once, and its replicates read only the block sums.  Each slice writes only
+its own rows, the bootstrap reads whole lags, and each cell draws from its
+own seeded generator, so neither the slices nor the CPU count change any
+value.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCloud, InsufficientSignal, InvalidParam
-from .maps import BirationalPair, for_each_slice, step_rows
+from .maps import BirationalPair, for_each, for_each_slice, step_rows
 from .measure import WeightedCloud, effective_sample_size
 
 N_BOOT = 200
@@ -137,39 +144,65 @@ def _boot_rng(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng([0xB007, seed, tag])
 
 
-def _block_boot(wa, cols, stat, rng):
+def _block_sums(col, edges):
+    """``col``'s sum over every row and its sums over the blocks that start at ``edges``."""
+    return np.sum(col), np.add.reduceat(col, edges)
+
+
+def _block_boot(Sw, S, stat, rng):
     """Value and block-bootstrap stderr of ``stat(Sw, *S)``.
 
-    ``wa`` holds the weights with dropped rows set to 0 and ``cols`` the
-    weighted columns.  The value takes Sw and S as sums over every row; each
-    of the N_BOOT replicates takes them over a draw of contiguous blocks.
+    ``Sw`` holds the ``_block_sums`` of the weights, with dropped rows set to
+    0, and ``S`` those of each weighted column.  The value takes the sums
+    over every row; each of the N_BOOT replicates takes them over a draw of
+    contiguous blocks.
     """
-    total = wa.sum()
+    total, blocks = Sw
     if total <= 0:
         raise DegenerateCloud("all samples dropped at this lag")
-    value = float(stat(total, *(np.sum(c) for c in cols)))
-    edges = _block_edges(len(wa))
-    choice = rng.integers(0, len(edges), size=(N_BOOT, len(edges)))
-    Tw = np.maximum(np.add.reduceat(wa, edges)[choice].sum(axis=1), 1e-300)
-    rep = stat(Tw, *(np.add.reduceat(c, edges)[choice].sum(axis=1) for c in cols))
+    value = float(stat(total, *(t for t, _ in S)))
+    choice = rng.integers(0, len(blocks), size=(N_BOOT, len(blocks)))
+    Tw = np.maximum(blocks[choice].sum(axis=1), 1e-300)
+    rep = stat(Tw, *(b[choice].sum(axis=1) for _, b in S))
     return value, float(rep.std(ddof=1))
 
 
 def _weighted_mean_boot(w, vals, alive, rng):
-    """Self-normalized weighted mean with block-bootstrap stderr."""
-    wa = np.where(alive, w, 0.0)
-    return _block_boot(wa, [wa * vals], lambda Sw, Sv: Sv / Sw, rng)
+    """Self-normalized weighted mean with block-bootstrap stderr; the weight
+    column is reduced, then weighted in place, as in ``_weighted_cov_boot``."""
+    col = np.where(alive, w, 0.0)
+    edges = _block_edges(len(col))
+    Sw = _block_sums(col, edges)
+    col *= vals
+    Sv = _block_sums(col, edges)
+    del col  # the replicates need only the block sums
+    return _block_boot(Sw, [Sv], lambda Sw, Sv: Sv / Sw, rng)
 
 
 def _weighted_cov_boot(w, a, b, alive, rng):
-    """Weighted covariance E[ab] - E[a]E[b] with block-bootstrap stderr."""
+    """Weighted covariance E[ab] - E[a]E[b] with block-bootstrap stderr.
+
+    Each weighted column is reduced to its ``_block_sums`` as soon as it is
+    made, and its product with the next factor is taken in place, so a cell
+    holds at most three columns of its rows at once.  IEEE products
+    commute, so ``b *= wa`` has the bits of ``wa * b``.
+    """
     wa = np.where(alive, w, 0.0)
+    edges = _block_edges(len(wa))
+    Sw = _block_sums(wa, edges)
     # shift by a reference sample so constant inputs give an exact zero;
     # the covariance is shift-invariant in exact arithmetic
     ref = int(np.argmax(alive))
-    wa_a, b = wa * (a - a[ref]), b - b[ref]
-    cols = [wa_a, wa * b, wa_a * b]
-    return _block_boot(wa, cols, lambda Sw, Sa, Sb, Sab: Sab / Sw - (Sa / Sw) * (Sb / Sw), rng)
+    col = a - a[ref]
+    col *= wa
+    Sa = _block_sums(col, edges)
+    b = b - b[ref]
+    col *= b
+    Sab = _block_sums(col, edges)
+    b *= wa
+    S = [Sa, _block_sums(b, edges), Sab]
+    del wa, col, b  # the replicates need only the block sums
+    return _block_boot(Sw, S, lambda Sw, Sa, Sb, Sab: Sab / Sw - (Sa / Sw) * (Sb / Sw), rng)
 
 
 def _require_healthy(cloud: WeightedCloud):
@@ -188,21 +221,14 @@ def c_sequence(pair: BirationalPair, obs, n_max: int, nu_plus: WeightedCloud) ->
     _check_lags(n_max)
     _require_healthy(nu_plus)
     values, alive = _orbit_values(pair, nu_plus, "fwd", obs.fn, n_max)
-    s, err, dropped = [], [], []
-    for n in range(n_max + 1):
-        rng = _boot_rng(nu_plus.seed, 100 + n)
-        mean, stderr = _weighted_mean_boot(nu_plus.weights, values[n], alive[n], rng)
-        s.append(mean)
-        err.append(stderr)
-        dropped.append(1.0 - alive[n].mean())
-    s = np.array(s)
-    c = np.diff(s, prepend=0.0)
-    return CnSequence(
-        c=c,
-        partial_sums=s,
-        stderr=np.array(err),
-        dropped_fraction=np.array(dropped),
-    )
+    lags = [(n, _boot_rng(nu_plus.seed, 100 + n)) for n in range(n_max + 1)]
+
+    def lag(task):
+        n, rng = task
+        return (*_weighted_mean_boot(nu_plus.weights, values[n], alive[n], rng), 1.0 - alive[n].mean())
+
+    s, err, dropped = map(np.array, zip(*for_each(lag, lags)))
+    return CnSequence(c=np.diff(s, prepend=0.0), partial_sums=s, stderr=err, dropped_fraction=dropped)
 
 
 def _cov_grid(pair: BirationalPair, phi, psi, n_max: int, m_max: int, cloud: WeightedCloud, tag):
@@ -217,15 +243,15 @@ def _cov_grid(pair: BirationalPair, phi, psi, n_max: int, m_max: int, cloud: Wei
     _require_healthy(cloud)
     b, alive_b = _orbit_values(pair, cloud, "bwd", psi.fn, m_max)
     a, alive_f = _orbit_values(pair, cloud, "fwd", phi.fn, n_max)
-    grid = []
-    for n in range(n_max + 1):
-        row = []
-        for m in range(m_max + 1):
-            alive = alive_f[n] & alive_b[m]
-            rng = _boot_rng(cloud.seed, tag(n, m))
-            row.append((*_weighted_cov_boot(cloud.weights, a[n], b[m], alive, rng), float(1.0 - alive.mean())))
-        grid.append(row)
-    return grid
+    cells = [(n, m, _boot_rng(cloud.seed, tag(n, m))) for n in range(n_max + 1) for m in range(m_max + 1)]
+
+    def cell(task):
+        n, m, rng = task
+        alive = alive_f[n] & alive_b[m]
+        return (*_weighted_cov_boot(cloud.weights, a[n], b[m], alive, rng), float(1.0 - alive.mean()))
+
+    flat = for_each(cell, cells)
+    return [flat[n * (m_max + 1):(n + 1) * (m_max + 1)] for n in range(n_max + 1)]
 
 
 def correlation_series(

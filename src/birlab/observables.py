@@ -184,7 +184,10 @@ def observable_catalog(name: str, params: dict = None) -> Observable:
             raise InvalidParam(f"{name} parameter {key} must be a {kinds[key].__name__}, not {value!r}")
         if not isinstance(value, numbers.Integral) and not cmath.isfinite(value):
             raise InvalidParam(f"{name} parameter {key} must be finite, not {value!r}")
-        values[key] = kinds[key](value)
+        try:
+            values[key] = kinds[key](value)
+        except OverflowError as exc:  # an integer past the float range
+            raise InvalidParam(f"{name} parameter {key} must lie in the float range") from exc
     fn, alpha, norm = builder(**values)
     try:
         norm = estimate_norm(fn, alpha) if norm is None else norm

@@ -57,10 +57,13 @@ def _is_real(value) -> bool:
 
 def as_complex(value, name: str) -> complex:
     """A JSON number, or a ``[re, im]`` pair of numbers, as a complex number."""
-    if _is_real(value):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(map(_is_real, value)):
-        return complex(value[0], value[1])
+    try:
+        if _is_real(value):
+            return complex(value)
+        if isinstance(value, list) and len(value) == 2 and all(map(_is_real, value)):
+            return complex(value[0], value[1])
+    except OverflowError as exc:  # an integer past the float range
+        raise InvalidParam(f"{name} must lie in the float range") from exc
     raise InvalidParam(f"{name} must be a number or an [re, im] pair, not {value!r}")
 
 

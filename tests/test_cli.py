@@ -465,10 +465,13 @@ def test_cn_csv_cells_are_plain_numbers(tmp_path):
             "map.params",
             "singular",
         ),
+        # JSON reads an integer literal as an int, which no float hook sees
+        ("cn_henon", {"name": "affine-bump", "params": {"radius": 10**400}}, "observables.0", "radius must lie"),
+        ("genericity_henon", {"params": {"a": 10**400}}, "map.params", "a must lie"),
     ],
     ids=[
         "p_coeffs-not-a-list", "unitary_seed-not-an-int", "cx-a-pair", "a-zero", "radius-zero", "raduis-unknown",
-        "bump-off-the-norm-grid", "matrix-ill-conditioned",
+        "bump-off-the-norm-grid", "matrix-ill-conditioned", "radius-past-the-float-range", "a-past-the-float-range",
     ],
 )
 def test_bad_map_and_observable_values_are_config_errors(tmp_path, capsys, config, change, where, field):

@@ -84,7 +84,7 @@ def test_maps_has_no_matrix_product():
 @pytest.mark.parametrize("name", ["eval_rows_checked", "FsForm", "ChartCoords", "RunManifest",
                                   "correlation", "correlation_two_sided", "min_set_distance",
                                   "degree_sequence", "JACOBIAN_BLOCK", "_monomials", "_monomial_exponents",
-                                  "monomial", "smoothness_alpha"])
+                                  "monomial", "smoothness_alpha", "roundtrip_residuals", "wedge_density"])
 def test_removed_pass_through_names_stay_gone(name):
     defined = set()
     for path in sorted(SRC.glob("*.py")):
@@ -104,7 +104,6 @@ SIGNATURES = {
     "measure.approx_mu": (measure.approx_mu, ["pair", "m", "count", "seed"]),
     "measure.approx_T_plus_wedge_omega": (measure.approx_T_plus_wedge_omega, ["pair", "m", "count", "seed"]),
     "potential.green_plus_henon": (potential.green_plus_henon, ["pair", "p_affine", "max_iter"]),
-    "maps.roundtrip_residuals": (maps.roundtrip_residuals, ["pair", "count", "seed"]),
     # the pair decides which proven rate applies, the series its depth
     "mixing.theoretical_rate": (mixing.theoretical_rate, ["pair", "alpha"]),
     "runner.compare_to_theory": (runner.compare_to_theory, ["summary", "pair", "alpha"]),
@@ -216,17 +215,20 @@ def _mentions(names):
 
 
 def test_one_function_starts_threads_and_none_reads_the_environment():
-    # the slice walk is the only concurrency, sized by the CPUs alone: no knob
+    # the task pool is the only concurrency, sized by the CPUs alone: no knob
     threads = {"threading", "_thread", "Thread", "ThreadPoolExecutor", "ProcessPoolExecutor", "multiprocessing"}
-    assert _innermost(_mentions(threads)) == {("maps", "for_each_slice")}
+    assert _innermost(_mentions(threads)) == {("maps", "for_each")}
     assert _innermost(_mentions({"environ", "getenv"})) == set()
 
 
 def test_row_slices_are_walked_only_by_for_each_slice():
-    # every loop over the slices of a batch goes through the one pool
+    # every loop over the slices of a batch, and over the bootstrap cells, goes through the one pool
     assert _innermost(_calls_name("row_slices")) == {("maps", "for_each_slice")}
     callers = {module for module, _ in _innermost(_calls_name("for_each_slice"))}
     assert callers == {"maps", "mixing", "observables"}
+    assert _innermost(_calls_name("for_each")) == {
+        ("maps", "for_each_slice"), ("mixing", "_cov_grid"), ("mixing", "c_sequence"),
+    }
 
 
 def test_rows_are_crossed_by_one_kernel():
@@ -252,7 +254,13 @@ def test_the_covariance_cells_have_one_kernel():
     kernels = {("mixing", "_cov_grid"), ("mixing", "c_sequence")}
     for name in ("_orbit_values", "_boot_rng", "_check_lags"):
         assert _innermost(_calls_name(name)) == kernels
-    assert _innermost(_calls_name("_weighted_cov_boot")) == {("mixing", "_cov_grid")}
+    # each cell is a task nested in its kernel, handed to the pool and never called directly
+    assert _innermost(_calls_name("_weighted_cov_boot")) == {("mixing", "cell")}
+    assert _innermost(_calls_name("_weighted_mean_boot")) == {("mixing", "lag")}
+    for kernel, task in (("_cov_grid", "cell"), ("c_sequence", "lag")):
+        nested = [node.name for node in ast.walk(_mixing_function(kernel)) if isinstance(node, ast.FunctionDef)]
+        assert nested == [kernel, task]
+        assert _innermost(_calls_name(task)) == set()
 
 
 def test_points_are_built_only_at_the_scalar_edge():

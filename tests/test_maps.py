@@ -1,4 +1,5 @@
 import itertools
+import sys
 import threading
 import time
 import tracemalloc
@@ -19,6 +20,7 @@ from birlab.maps import (
     HomogeneousPolynomial,
     differential_rows,
     eval_point,
+    for_each,
     for_each_slice,
     fs_pullback_form,
     iterate,
@@ -28,14 +30,13 @@ from birlab.maps import (
     pullback_chain,
     pullback_density,
     random_unitary,
-    roundtrip_residuals,
     row_slices,
     step_rows,
-    wedge_density,
     wedge_density_rows,
 )
 from birlab.projective import (
     ProjPoint,
+    canonicalize_rows,
     fix_phase_rows,
     fs_distance,
     fs_distance_rows,
@@ -61,6 +62,23 @@ def linear_map(A) -> RationalMapRep:
 
 def identity_map() -> RationalMapRep:
     return linear_map(np.eye(3))
+
+
+def wedge_density(A: np.ndarray, B: np.ndarray) -> float:
+    """Wedge density of two 2x2 (1,1)-forms written in one frame at one point."""
+    if np.shape(A) != (2, 2) or np.shape(B) != (2, 2):
+        raise DimensionMismatch("wedge density defined for k = 2 only")
+    return float(wedge_density_rows(A, B))
+
+
+def roundtrip_residuals(pair, count: int, seed: int) -> np.ndarray:
+    """FS distances ||bwd(fwd(z)) - z|| on random points at least 1e-3 away from I(f)."""
+    Z = sample_fs_rows(count, seed)
+    Z = Z[fs_distance_rows(Z[:, None], pair.ind_fwd).min(axis=1) >= 1e-3]
+    W, _, alive1 = step_rows(pair.fwd, Z)
+    B, _, alive2 = step_rows(pair.bwd, W)
+    res = fs_distance_rows(canonicalize_rows(B), canonicalize_rows(Z))
+    return res[alive1 & alive2]
 
 
 @pytest.fixture(scope="module")
@@ -555,6 +573,69 @@ def test_a_nested_call_inside_a_helper_returns(monkeypatch):
     assert not thread.is_alive()
     assert helper_ran.is_set()
     assert results == [[count] * 3]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_tasks_that_are_not_slices_come_back_in_task_order(monkeypatch, cpus):
+    monkeypatch.setattr(maps, "_CPUS", cpus)
+    tasks = [(n, m) for n in range(4) for m in range(3)]
+
+    def fn(task):
+        if task == (0, 0):
+            time.sleep(0.05)  # the helper finishes later tasks first
+        return task[0] * 10 + task[1]
+
+    assert for_each(fn, tasks) == [n * 10 + m for n, m in tasks]
+    # any iterable of tasks, taken once
+    assert for_each(str, (n for n in range(5))) == ["0", "1", "2", "3", "4"]
+    assert for_each(fn, []) == []
+
+
+def test_every_task_runs_once_under_frequent_thread_switches(monkeypatch):
+    # more threads than cores, switching as often as the interpreter allows: a task
+    # handed to two threads, or to none, would break the counts
+    monkeypatch.setattr(maps, "_CPUS", 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            counts = [0] * 500
+
+            def fn(task):
+                counts[task] += 1
+                return task
+
+            assert for_each(fn, range(500)) == list(range(500))
+            assert counts == [1] * 500
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_nested_task_list_inside_a_helper_returns(monkeypatch):
+    # as for slices: the inner caller runs its tasks alone and cancels its queued helper
+    monkeypatch.setattr(maps, "_CPUS", 2)
+    caller, results = [], []
+    helper_ran = threading.Event()
+
+    def outer(task):
+        on_caller = threading.current_thread() is caller[0]
+        if on_caller:
+            helper_ran.wait(10)  # hand the helper a task
+        inner = for_each(lambda t: t * task, ["a", "b"])
+        if not on_caller:
+            helper_ran.set()
+        return inner
+
+    def run():
+        caller.append(threading.current_thread())
+        results.append(for_each(outer, [1, 2, 3]))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(20)
+    assert not thread.is_alive()
+    assert helper_ran.is_set()
+    assert results == [[["a", "b"], ["aa", "bb"], ["aaa", "bbb"]]]
 
 
 @pytest.mark.parametrize("raiser", ["caller", "helper"])

@@ -3,7 +3,7 @@ import pytest
 
 from birlab import measure
 from birlab.errors import DegenerateCloud, InvalidParam
-from birlab.maps import make_henon, roundtrip_residuals
+from birlab.maps import make_henon
 from birlab.measure import (
     WeightedCloud,
     approx_T_plus_wedge_omega,
@@ -77,8 +77,6 @@ def test_negative_seeds_raise_a_typed_error(henon):
         approx_mu(henon, 1, 1000, -1)
     with pytest.raises(InvalidParam, match="seed"):
         approx_T_plus_wedge_omega(henon, 1, 1000, -3)
-    with pytest.raises(InvalidParam, match="seed"):
-        roundtrip_residuals(henon, 10, -1)
 
 
 def _broken_chain(broken):

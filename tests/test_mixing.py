@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birlab import maps
+from birlab import maps, mixing
 from birlab.errors import DegenerateCloud, InsufficientSignal, InvalidParam
 from birlab.maps import CHAIN_CHUNK, eval_point, make_cremona_composed, make_henon, random_unitary
 from birlab.measure import WeightedCloud, approx_T_plus_wedge_omega, approx_mu
@@ -335,6 +336,58 @@ def test_correlation_series_keeps_values_and_masks_not_states(henon):
     finally:
         tracemalloc.stop()
     assert peak < 32 * rows * lags
+
+
+def test_one_covariance_cell_holds_three_columns():
+    # two cells in flight, one per CPU, then hold what one cell held before
+    rows = 4 * 10**5
+    rng = np.random.default_rng(2)
+    w, a, b = rng.uniform(size=(3, rows))
+    alive = rng.uniform(size=rows) > 0.1
+    tracemalloc.start()
+    try:
+        _weighted_cov_boot(w, a, b, alive, _boot_rng(0, 300))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # three float columns, and 64 KiB for the block sums and the replicates' sums
+    assert peak <= 24 * rows + 2**16
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_an_error_in_a_cell_reaches_the_caller_with_its_type(monkeypatch, henon, cpus):
+    # every row sits on I(f), so each cell at forward lag 1 or more has no live row
+    monkeypatch.setattr(maps, "_CPUS", cpus)
+    rows = 256
+    cloud = WeightedCloud(
+        points=np.repeat(henon.ind_fwd[:1], rows, axis=0), weights=np.full(rows, 1.0 / rows),
+        depth_m=0, seed=4, clip_quantile=1.0, dropped_count=0, raw_mean=1.0, raw_stderr=0.0,
+    )
+    phi = observable_catalog("fs-coordinate", {"index": 0})
+    caller = threading.current_thread()
+    helper_raised = threading.Event()
+    running, raised_on = [], []
+    real = mixing._weighted_cov_boot
+
+    def cell(w, a, b, alive, rng):
+        on_caller = threading.current_thread() is caller
+        running.append(rng)
+        try:
+            if on_caller and cpus == 2:
+                helper_raised.wait(10)  # the helper meets a dead cell first
+            return real(w, a, b, alive, rng)
+        except DegenerateCloud:
+            raised_on.append("caller" if on_caller else "helper")
+            helper_raised.set()
+            raise
+        finally:
+            running.remove(rng)
+
+    monkeypatch.setattr(mixing, "_weighted_cov_boot", cell)
+    with pytest.raises(DegenerateCloud, match="all samples dropped at this lag"):
+        two_sided_grid(henon, phi, phi, 2, 2, cloud)
+    assert running == []
+    assert raised_on[0] == ("caller" if cpus == 1 else "helper")
 
 
 def test_theoretical_rate_values(henon):

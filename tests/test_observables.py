@@ -122,6 +122,8 @@ def test_unknown_observable_parameter(name, params):
         ("affine-bump", {"radius": float("inf")}),
         ("affine-bump", {"cy": complex(0.0, float("-inf"))}),
         ("holder-crease", {"alpha": np.float64("nan")}),
+        ("affine-bump", {"radius": 10**400}),
+        ("affine-bump", {"cy": -(10**400)}),
     ],
 )
 def test_wrong_typed_or_out_of_range_parameter(name, params):
