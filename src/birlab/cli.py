@@ -1,7 +1,7 @@
 """Command line entry point: ``lab <subcommand> --config <path>``.
 
-Exit codes: 0 success; 2 invalid config, including a map or observable
-parameter of the wrong type or out of range; 3 experiment failure.
+Exit codes: 0 success; 2 invalid config, including a bad map or observable
+parameter and a field the subcommand does not read; 3 experiment failure.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def main(argv=None) -> int:
             updates["seed"] = args.seed
         if args.out is not None:
             updates["output_dir"] = args.out
-        config = load_config({**config.model_dump(mode="json"), **updates})
+        config = load_config({**config.model_dump(mode="json", exclude_unset=True), **updates})
         manifest = run(config)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the lab."""
+"""Exception hierarchy of the lab, and the two checks of every number and count handed in."""
+
+import cmath
+import numbers
 
 
 class LabError(Exception):
@@ -51,3 +54,28 @@ class ShiftCalibrationError(LabError):
 
 class ConfigInvalid(LabError):
     """An experiment config failed schema validation."""
+
+
+def number(value, name: str, kind):
+    """``kind(value)`` (``float`` or ``complex``) for a finite number in the float range;
+    a bool, a string, a list, NaN, inf or an integer past the float range raises
+    ``InvalidParam`` naming ``name``."""
+    accepts = numbers.Real if kind is float else numbers.Complex
+    if isinstance(value, bool) or not isinstance(value, accepts):
+        raise InvalidParam(f"{name} must be a {accepts.__name__.lower()} number, not {value!r}")
+    try:
+        value = kind(value)
+    except OverflowError as exc:  # an integer past the float range
+        raise InvalidParam(f"{name} must lie in the float range") from exc
+    if not cmath.isfinite(value):
+        raise InvalidParam(f"{name} must be finite, not {value!r}")
+    return value
+
+
+def count(value, name: str, least: int = 0) -> int:
+    """``int(value)`` for an integral non-bool >= ``least``, else ``InvalidParam`` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParam(f"{name} must be an integer, not {value!r}")
+    if value < least:
+        raise InvalidParam(f"{name} must be >= {least}, not {value}")
+    return int(value)

@@ -21,11 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidParam
-from .maps import EPS_IND, BirationalPair, step_rows
+from .errors import count
+from .maps import BirationalPair, step_rows
 from .projective import fix_phase_rows, fs_distance_rows
 
-EPS_DEGENERATE = EPS_IND
+EPS_DEGENERATE = 1e-10  # an FS distance: an orbit point this close to the target set is on it
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ class GenericityReport:
 
 def indeterminacy_orbit(pair: BirationalPair, n: int, direction: str = "fwd") -> IndeterminacyOrbit:
     """Orbit table f^j(I(f^-1)) (fwd) or f^-j(I(f)) (bwd), j = 0..n."""
-    if n < 0:
-        raise InvalidParam("orbit length must be >= 0")
+    n = count(n, "orbit length")
     map_rep = pair.map_for(direction)
     Z = pair.ind_bwd if direction == "fwd" else pair.ind_fwd
     targets = pair.ind_fwd if direction == "fwd" else pair.ind_bwd
@@ -98,8 +97,7 @@ def _series(pair: BirationalPair, N: int, direction: str):
 
 def bd_partial_sums(pair: BirationalPair, N: int) -> GenericityReport:
     """Partial sums of both genericity series through depth N."""
-    if N < 0:
-        raise InvalidParam("N must be >= 0")
+    N = count(N, "N")
     terms_fwd, sum_fwd, deg_fwd, tail_fwd = _series(pair, N, "fwd")
     terms_bwd, sum_bwd, deg_bwd, tail_bwd = _series(pair, N, "bwd")
     candidates = [i for i in (deg_fwd, deg_bwd) if i is not None]

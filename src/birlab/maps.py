@@ -53,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IndeterminacyProximity, InvalidParam
+from .errors import IndeterminacyProximity, InvalidParam, count, number
 from .projective import ProjPoint, canonicalize_rows, cross_rows, fix_phase_rows, tangent_frames
 
 EPS_IND = 1e-10
@@ -76,12 +76,12 @@ class HomogeneousPolynomial:
     def from_dict(cls, degree: int, coeffs: dict) -> "HomogeneousPolynomial":
         terms = []
         for exps, c in sorted(coeffs.items()):
-            if not all(isinstance(e, (int, np.integer)) and e >= 0 for e in exps):
-                raise InvalidParam(f"multi-index {exps} has an exponent that is not a non-negative integer")
+            exps = tuple(count(e, f"an exponent of multi-index {exps}") for e in exps)
             if sum(exps) != degree:
                 raise InvalidParam(f"multi-index {exps} does not sum to degree {degree}")
+            c = number(c, f"the coefficient of {exps}", complex)
             if c != 0:
-                terms.append((tuple(exps), complex(c)))
+                terms.append((exps, c))
         if not terms:
             raise InvalidParam("polynomial has no nonzero coefficient")
         return cls(degree=degree, terms=tuple(terms))
@@ -294,11 +294,9 @@ def eval_point(map_rep: RationalMapRep, p: ProjPoint) -> ProjPoint:
 
 def iterate(pair: BirationalPair, p: ProjPoint, n: int, direction: str = "fwd") -> list:
     """Orbit [p, f(p), ..., f^n(p)]; raises with the failing step index."""
-    if n < 0:
-        raise InvalidParam("orbit length must be >= 0")
     map_rep = pair.map_for(direction)
     orbit = [p]
-    for step in range(n):
+    for step in range(count(n, "orbit length")):
         try:
             p = eval_point(map_rep, p)
         except IndeterminacyProximity as exc:
@@ -404,12 +402,10 @@ def make_henon(a: complex, p_coeffs) -> BirationalPair:
 
     ``p_coeffs`` lists the coefficients of p from constant to leading.
     """
-    a = complex(a)
-    if a == 0 or not np.isfinite(a):
-        raise InvalidParam("Henon parameter a must be nonzero and finite")
-    p_coeffs = [complex(c) for c in p_coeffs]
-    if not np.isfinite(p_coeffs).all():
-        raise InvalidParam("coefficients of p must be finite")
+    a = number(a, "Henon parameter a", complex)
+    if a == 0:
+        raise InvalidParam("Henon parameter a must be nonzero")
+    p_coeffs = [number(c, "a coefficient of p", complex) for c in p_coeffs]
     deg = len(p_coeffs) - 1
     if deg < 2 or p_coeffs[-1] == 0:
         raise InvalidParam("p must have exact degree >= 2")
@@ -454,13 +450,14 @@ def make_henon(a: complex, p_coeffs) -> BirationalPair:
 
 def make_cremona_composed(A: np.ndarray) -> BirationalPair:
     """Pair f = J o A with J[x:y:z] = [yz:xz:xy] and A in GL(3, C)."""
-    A = np.asarray(A, dtype=complex)
+    A = np.asarray(A, dtype=object)
     if A.shape != (3, 3):
         raise InvalidParam("A must be a 3x3 matrix")
+    A = np.array([number(v, "an entry of A", complex) for v in A.flat]).reshape(3, 3)
     # scale-free, as cA is the same map as A for any c != 0; the Frobenius
-    # condition number needs only an inverse, and is NaN for a non-finite A
+    # condition number needs only an inverse, and is not finite for a singular A
     if not np.linalg.cond(A, "fro") <= 1e12:
-        raise InvalidParam("A is numerically singular or not finite")
+        raise InvalidParam("A is numerically singular")
     # cA is the same map, so A is scaled by the power of two, exact on every entry,
     # that brings its largest modulus into (0.5, 1]: EPS_IND bounds ||F|| absolutely
     frac, exp = np.frexp(np.abs(A).max())
@@ -508,7 +505,7 @@ def make_cremona_composed(A: np.ndarray) -> BirationalPair:
 
 def random_unitary(seed: int, n: int = 3) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(count(seed, "seed"))
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     Q, R = np.linalg.qr(G)
     return Q * (np.diag(R) / np.abs(np.diag(R)))

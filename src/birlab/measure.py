@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCloud, InvalidParam
+from .errors import DegenerateCloud, count
 from .maps import BirationalPair, pullback_chain, step_rows, wedge_density_rows
 from .projective import sample_fs_rows
 
@@ -75,16 +75,13 @@ def _finalize(Z, raw, alive, m, count, seed) -> WeightedCloud:
     )
 
 
-def _validate(m, count):
-    if m < 0:
-        raise InvalidParam("pullback depth m must be >= 0")
-    if count < 1:
-        raise InvalidParam("sample count must be >= 1")
+def _validate(m, rows):
+    return count(m, "pullback depth m"), count(rows, "sample count", 1)
 
 
 def approx_T_plus_wedge_omega(pair: BirationalPair, m: int, count: int, seed: int) -> WeightedCloud:
     """Particle cloud for T+ wedge omega via T+ ~ d^{-m} (f^m)^* omega."""
-    _validate(m, count)
+    m, count = _validate(m, count)
     Z = sample_fs_rows(count, seed)
     H, alive = pullback_chain(pair, Z, m, "fwd")
     raw = pair.d ** (-m) * np.real(np.trace(H, axis1=1, axis2=2)) / 2
@@ -93,7 +90,7 @@ def approx_T_plus_wedge_omega(pair: BirationalPair, m: int, count: int, seed: in
 
 def approx_mu(pair: BirationalPair, m: int, count: int, seed: int) -> WeightedCloud:
     """Particle cloud for mu = T+ wedge T- at finite depth."""
-    _validate(m, count)
+    m, count = _validate(m, count)
     Z = sample_fs_rows(count, seed)
     H_plus, alive_f = pullback_chain(pair, Z, m, "fwd")
     H_minus, alive_b = pullback_chain(pair, Z, m, "bwd")

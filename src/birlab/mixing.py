@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCloud, InsufficientSignal, InvalidParam
+from .errors import DegenerateCloud, InsufficientSignal, InvalidParam, count, number
 from .maps import BirationalPair, for_each, for_each_slice, step_rows
 from .measure import WeightedCloud, effective_sample_size
 
@@ -126,9 +126,8 @@ def _orbit_values(pair: BirationalPair, cloud: WeightedCloud, direction: str, fn
 
 
 def _check_lags(n: int, m: int = 0):
-    if n < 0 or m < 0:
-        raise InvalidParam("lags must be >= 0")
-    if m >= M_LIMIT:
+    count(n, "lags")
+    if count(m, "lags") >= M_LIMIT:
         raise InvalidParam(
             f"backward lag {m} must be below {M_LIMIT}: cell (n, m) resamples under tag "
             f"300 + {M_LIMIT} n + m, shared with cell (n + 1, m - {M_LIMIT})"
@@ -279,6 +278,7 @@ def two_sided_grid(
 def theoretical_rate(pair: BirationalPair, alpha: float) -> float:
     """Per-step ln-rate of the proven decay bound: alpha s ln d / (4k),
     which is alpha ln d / 8 on P^2 (k = 2, s = 1), doubled when the pair is regular."""
+    alpha = number(alpha, "alpha", float)
     if not 0 < alpha <= 2:
         raise InvalidParam("alpha must lie in (0, 2]")
     rate = alpha * math.log(pair.d) / 8.0
@@ -288,8 +288,7 @@ def theoretical_rate(pair: BirationalPair, alpha: float) -> float:
 def split_lags(N: int):
     """Split a one-sided lag N into (n, m) = ((k-s) n0, s n0 + r) with
     N = k n0 + r; on P^2 (k = 2, s = 1) that is (n0, n0 + r)."""
-    if N < 0:
-        raise InvalidParam("N must be >= 0")
+    N = count(N, "N")
     n = N // 2
     return n, N - n
 
@@ -330,8 +329,7 @@ def decay_fit(series, seed: int = 0) -> DecayFit:
     resample that draws a single lag has no slope and is left out.
     ``seed`` must be >= 0.
     """
-    if seed < 0:
-        raise InvalidParam(f"seed must be >= 0, not {seed}")
+    seed = count(seed, "seed")
     lags, values, stderrs = _as_triples(series)
     usable = (values != 0) & (np.abs(values) >= NOISE_FLOOR_SIGMAS * stderrs)
     start = int(np.argmax(usable)) if usable.any() else len(usable)

@@ -11,14 +11,12 @@ and every estimate is the same to the bit for any CPU count.
 
 from __future__ import annotations
 
-import cmath
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, get_type_hints
 
 import numpy as np
 
-from .errors import InvalidParam
+from .errors import InvalidParam, count, number
 from .maps import for_each_slice
 from .projective import chart_disc, from_chart_rows
 
@@ -152,9 +150,6 @@ def estimate_norm(fn, alpha: float) -> float:
     return sup + grad + hess
 
 
-# the values each parameter type that a builder annotates accepts
-_ACCEPTS = {int: numbers.Integral, float: numbers.Real, complex: numbers.Complex}
-
 # each builder returns its function, its alpha, and its norm where it knows it exactly
 _BUILDERS = {
     "constant": _make_constant,
@@ -168,7 +163,8 @@ def observable_catalog(name: str, params: dict = None) -> Observable:
     """Built-in observables: constant, affine-bump, fs-coordinate, holder-crease.
 
     ``params`` may name only the keyword parameters of the observable's
-    builder, each with a finite number of the type that parameter is annotated with.
+    builder, each with a value that ``errors.count`` (an ``int`` parameter) or
+    ``errors.number`` (a ``float`` or ``complex`` one) accepts.
     """
     params = params or {}
     if name not in _BUILDERS:
@@ -180,14 +176,8 @@ def observable_catalog(name: str, params: dict = None) -> Observable:
         raise InvalidParam(f"unknown {name} parameters {unknown}; known: {sorted(kinds)}")
     values = {}
     for key, value in params.items():
-        if isinstance(value, bool) or not isinstance(value, _ACCEPTS[kinds[key]]):
-            raise InvalidParam(f"{name} parameter {key} must be a {kinds[key].__name__}, not {value!r}")
-        if not isinstance(value, numbers.Integral) and not cmath.isfinite(value):
-            raise InvalidParam(f"{name} parameter {key} must be finite, not {value!r}")
-        try:
-            values[key] = kinds[key](value)
-        except OverflowError as exc:  # an integer past the float range
-            raise InvalidParam(f"{name} parameter {key} must lie in the float range") from exc
+        label = f"{name} parameter {key}"
+        values[key] = count(value, label) if kinds[key] is int else number(value, label, kinds[key])
     fn, alpha, norm = builder(**values)
     try:
         norm = estimate_norm(fn, alpha) if norm is None else norm

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParam, NonConvergence, ShiftCalibrationError
+from .errors import InvalidParam, NonConvergence, ShiftCalibrationError, count, number
 from .maps import BirationalPair, step_rows
 from .projective import ProjPoint, chart_disc, from_chart_rows
 
@@ -88,12 +88,12 @@ class QuasiPotentialSeries:
     shift: float
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InvalidParam("truncation depth must be >= 0")
+        count(self.n, "truncation depth")
 
     @classmethod
     def calibrate(cls, pair: BirationalPair, n: int) -> "QuasiPotentialSeries":
         """Shift = grid maximum of the unshifted v_n, plus e."""
+        n = count(n, "truncation depth")
         peak = -math.inf
         for chart in range(3):
             vals = _unshifted_v_rows(pair, calibration_points(chart), n)
@@ -130,6 +130,7 @@ def w_n(series: QuasiPotentialSeries, p: ProjPoint) -> float:
 
 
 def chi_A_rows(series: QuasiPotentialSeries, Z: np.ndarray, A: float) -> np.ndarray:
+    A = number(A, "cut-off scale A", float)
     if A <= 0:
         raise InvalidParam("cut-off scale A must be positive")
     w = w_n_rows(series, Z)

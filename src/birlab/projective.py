@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .errors import AllZero, ChartSingular, DimensionMismatch, InvalidParam
 
 PHASE_FLOOR = 1e-9
@@ -78,14 +79,10 @@ class ProjPoint:
 def normalize(raw) -> ProjPoint:
     """Canonical unit representative of a finite, nonzero homogeneous tuple,
     at any scale of the float range: a one-row call of ``canonicalize_rows``."""
-    try:
-        arr = np.array(raw, dtype=complex)
-    except (ValueError, TypeError) as exc:
-        raise InvalidParam(f"homogeneous coordinates must be numbers, not {raw!r}") from exc
+    arr = np.asarray(raw, dtype=object)  # a ragged tuple is flat, of lists
     if arr.ndim != 1 or len(arr) < 2:
         raise InvalidParam(f"need a flat tuple of at least two homogeneous coordinates, not shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidParam(f"homogeneous coordinates must be finite, not {arr}")
+    arr = np.array([errors.number(z, "homogeneous coordinates must be numbers, and each", complex) for z in arr])
     if not arr.any():
         raise AllZero("all homogeneous coordinates are zero")
     return ProjPoint(canonicalize_rows(arr[None, :])[0])
@@ -113,13 +110,9 @@ def sample_fs_rows(count: int, seed: int) -> np.ndarray:
     Uniform on the unit sphere of C^3 modulo phase; deterministic for a
     fixed seed, which must be >= 0.
     """
-    if seed < 0:
-        raise InvalidParam(f"seed must be >= 0, not {seed}")
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((count, 3)) + 1j * rng.standard_normal((count, 3))
-    if count == 0:
-        return raw
-    return canonicalize_rows(raw)
+    rng = np.random.default_rng(errors.count(seed, "seed"))
+    shape = (errors.count(count, "count"), 3)
+    return canonicalize_rows(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def sample_fs(count: int, seed: int) -> list:

@@ -19,7 +19,7 @@ import numpy as np
 from pydantic import BaseModel, ConfigDict, Field, ValidationError, model_validator
 
 from . import __version__
-from .errors import ConfigInvalid, InsufficientSignal, InvalidParam
+from .errors import ConfigInvalid, InsufficientSignal, InvalidParam, count, number
 from .genericity import bd_partial_sums
 from .maps import BirationalPair, make_cremona_composed, make_henon, random_unitary
 from .measure import DROP_WARN_FRACTION, approx_T_plus_wedge_omega, approx_mu, effective_sample_size
@@ -51,26 +51,16 @@ SLACK_FRACTION = 0.2
 GREEN_MAX_ITER = 400
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def as_complex(value, name: str) -> complex:
     """A JSON number, or a ``[re, im]`` pair of numbers, as a complex number."""
-    try:
-        if _is_real(value):
-            return complex(value)
-        if isinstance(value, list) and len(value) == 2 and all(map(_is_real, value)):
-            return complex(value[0], value[1])
-    except OverflowError as exc:  # an integer past the float range
-        raise InvalidParam(f"{name} must lie in the float range") from exc
-    raise InvalidParam(f"{name} must be a number or an [re, im] pair, not {value!r}")
+    if isinstance(value, list) and len(value) == 2:
+        return complex(*(number(v, name, float) for v in value))
+    return number(value, name, complex)
 
 
-def _as_list(value, name: str, length: int = None) -> list:
-    if not isinstance(value, list) or length not in (None, len(value)):
-        size = "a list" if length is None else f"a list of {length}"
-        raise InvalidParam(f"{name} must be {size}, not {value!r}")
+def _as_list(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise InvalidParam(f"{name} must be a list, not {value!r}")
     return value
 
 
@@ -86,14 +76,11 @@ def build_pair(cfg: MapConfig) -> BirationalPair:
             a = as_complex(params.get("a", 0.3), "a")
             coeffs = _as_list(params.get("p_coeffs", [-1.2, 0.0, 1.0]), "p_coeffs")
             return make_henon(a, [as_complex(c, "p_coeffs") for c in coeffs])
-        if "matrix" in params:
-            rows = _as_list(params["matrix"], "matrix", 3)
-            A = np.array([[as_complex(v, "matrix") for v in _as_list(row, "matrix", 3)] for row in rows])
+        if "matrix" in params:  # make_cremona_composed checks its shape
+            rows = _as_list(params["matrix"], "matrix")
+            A = [[as_complex(v, "matrix") for v in _as_list(row, "matrix")] for row in rows]
         else:
-            seed = params.get("unitary_seed", 0)
-            if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-                raise InvalidParam(f"unitary_seed must be an integer >= 0, not {seed!r}")
-            A = random_unitary(seed)
+            A = random_unitary(count(params.get("unitary_seed", 0), "unitary_seed"))
         return make_cremona_composed(A)
     except InvalidParam as exc:
         raise ConfigInvalid(f"map.params: {exc}") from exc
@@ -277,6 +264,11 @@ _RUNNERS = {
 }
 EXPERIMENTS = tuple(_RUNNERS)
 ExperimentName = Literal[EXPERIMENTS]
+# the experiments that read each field; every config carries map, experiment,
+# seed and output_dir, and may set no field its experiment does not read
+READ_BY = {"depth_m": MEASURE_EXPERIMENTS, "count": MEASURE_EXPERIMENTS, "n_max": {"cn"},
+           "N_max": {"genericity", "correlation"}, "observables": set(OBSERVABLES_READ),
+           **dict.fromkeys(["depth_n", "cutoff_A", "grid_n", "grid_range"], {"green"})}
 
 
 class MapConfig(BaseModel):
@@ -292,7 +284,8 @@ class ObservableConfig(BaseModel):
 
 
 class ExperimentConfig(BaseModel):
-    model_config = ConfigDict(extra="forbid", allow_inf_nan=False)
+    # strict: an integer field takes no bool, float or string, as errors.count does
+    model_config = ConfigDict(extra="forbid", allow_inf_nan=False, strict=True)
     map: MapConfig
     experiment: ExperimentName
     seed: int = Field(ge=0)
@@ -310,6 +303,9 @@ class ExperimentConfig(BaseModel):
 
     @model_validator(mode="after")
     def _check(self):
+        unread = sorted(f for f in self.model_fields_set if self.experiment not in READ_BY.get(f, EXPERIMENTS))
+        if unread:
+            raise ValueError(f"the {self.experiment} experiment does not read {unread}")
         if self.experiment in MEASURE_EXPERIMENTS and self.count < MIN_MEASURE_COUNT:
             raise ValueError(
                 f"count must be >= {MIN_MEASURE_COUNT} for measure-based experiments"

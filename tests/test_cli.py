@@ -336,9 +336,41 @@ def test_readme_config_table_lists_every_field():
     text = README.read_text()
     (count,) = re.findall(r"A config has (\d+) fields", text)
     table = text[text.index("| field | default | read by |"):].split("\n\n")[0]
-    names = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
-    assert names == list(runner.ExperimentConfig.model_fields)
-    assert int(count) == len(names)
+    rows = re.findall(r"^\| `(\w+)` \|[^|]*\| ([^|]*) \|$", table, flags=re.M)
+    assert [name for name, _ in rows] == list(runner.ExperimentConfig.model_fields)
+    assert int(count) == len(rows)
+    # the "read by" column is runner.READ_BY; "all" marks the fields every config carries
+    experiments = re.compile(r"\b(" + "|".join(runner.EXPERIMENTS) + r")\b")
+    for name, read_by in rows:
+        if read_by.startswith("all"):
+            assert name not in runner.READ_BY
+        else:
+            assert set(experiments.findall(read_by)) == set(runner.READ_BY[name]), name
+
+
+@pytest.mark.parametrize(
+    "experiment, field, value",
+    [
+        ("correlation", "n_max", 4),
+        ("genericity", "grid_n", 16),
+        ("measure", "depth_n", 2),
+        ("genericity", "count", 2000),
+        ("genericity", "depth_m", 2),
+        ("genericity", "observables", [{"name": "no-such-observable"}]),
+        ("green", "N_max", 5),
+    ],
+)
+def test_a_field_the_experiment_does_not_read_is_rejected(tmp_path, experiment, field, value):
+    payload = {"map": BASE_MAP, "experiment": experiment, "seed": 1, field: value}
+    with pytest.raises(ConfigInvalid, match=f"{experiment} experiment does not read \\['{field}'\\]"):
+        load_config(payload)
+
+
+def test_a_config_run_under_another_subcommand_is_checked_against_it(tmp_path, capsys):
+    cfg = CONFIGS / "cn_henon.json"
+    assert main(["correlation", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "the correlation experiment does not read ['n_max']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_alpha_field_is_gone(tmp_path):
@@ -383,6 +415,12 @@ def test_removed_config_fields_are_rejected(tmp_path, config, field, value):
         ("green_henon", "grid_range", -2.0),
         ("green_henon", "grid_range", math.inf),
         ("green_henon", "cutoff_A", math.inf),
+        # the schema is strict: no bool or string for a number, no float for an integer
+        ("measure_henon", "depth_m", True),
+        ("measure_henon", "depth_m", 2.0),
+        ("measure_henon", "count", "30000"),
+        ("measure_henon", "seed", True),
+        ("green_henon", "cutoff_A", True),
     ],
 )
 def test_out_of_range_config_values_are_rejected(tmp_path, config, field, value):

@@ -292,3 +292,23 @@ def test_cremona_indeterminacy_sets_are_read_only_rows(A):
     _assert_read_only_rows(pair.ind_bwd, [projective.normalize(e) for e in np.eye(3)])
     # the rows are left out of == and hash, as the compiled Jacobians are
     assert pair == maps.make_cremona_composed(A) and hash(pair) == hash(maps.make_cremona_composed(A))
+
+
+def test_only_maps_names_the_dead_row_bound():
+    # genericity's EPS_DEGENERATE is an FS-distance bound with its own value
+    assert {module for module, _ in _innermost(_mentions({"EPS_IND"}))} == {"maps"}
+
+
+def test_outside_numbers_and_counts_are_checked_in_one_place():
+    # errors.number owns "a finite number in the float range", errors.count "an integer >= least"
+    def catches_overflow(node):
+        return isinstance(node, ast.ExceptHandler) and "OverflowError" in ast.unparse(node.type or ast.Constant(None))
+
+    def rejects_bool(node):
+        return (
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and "bool" in ast.unparse(node.args[1])
+        )
+
+    assert _innermost(catches_overflow) == {("errors", "number")}
+    assert _innermost(rejects_bool) == {("errors", "number"), ("errors", "count")}

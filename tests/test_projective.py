@@ -153,6 +153,8 @@ def test_fs_metric_properties_random_triples():
 
 def test_sample_fs_empty_and_determinism():
     assert sample_fs(0, 1) == []
+    empty = sample_fs_rows(0, 1)
+    assert empty.shape == (0, 3) and empty.dtype == complex
     a = sample_fs_rows(100, 42)
     b = sample_fs_rows(100, 42)
     assert np.array_equal(a, b)
